@@ -137,6 +137,8 @@ def _read_scores(path) -> np.ndarray:
                     values.append(float(line))
                 except ValueError:
                     raise DataError(f"{path}:{lineno}: not a float: {line!r}") from None
+                if not np.isfinite(values[-1]):
+                    raise DataError(f"{path}:{lineno}: not a finite score: {line!r}")
     except OSError as exc:
         raise DataError(f"{path}: {exc}") from None
     if not values:
@@ -214,6 +216,8 @@ def _read_agent_table(path) -> list[AgentAssessment]:
                     )
                 except ValueError as exc:
                     raise DataError(f"{path}:{lineno}: {exc}") from None
+                if not np.isfinite([rows[-1].statistic, rows[-1].p_value]).all():
+                    raise DataError(f"{path}:{lineno}: non-finite value in {row}")
     except OSError as exc:
         raise DataError(f"{path}: {exc}") from None
     if not rows:

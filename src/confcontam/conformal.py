@@ -187,11 +187,16 @@ def split_fit(
 
 
 def conformal_pvalues_from_scores(cal_scores, test_scores) -> np.ndarray:
-    """p_i = (1 + #{j : cal_j <= test_i}) / (n_cal + 1), deterministic ties."""
+    """p_i = (1 + #{j : cal_j <= test_i}) / (n_cal + 1), deterministic ties.
+
+    A nan or infinite score raises DataError.
+    """
     cal = np.sort(np.asarray(cal_scores, dtype=float))
     if cal.size < 1:
         raise ConfigurationError("calibration requires at least one score")
     test = np.asarray(test_scores, dtype=float)
+    if not (np.all(np.isfinite(cal)) and np.all(np.isfinite(test))):
+        raise DataError("scores must be finite, got nan or inf")
     counts = np.searchsorted(cal, test, side="right")
     return (1.0 + counts) / (cal.size + 1.0)
 
@@ -210,8 +215,8 @@ def conformal_pvalues(
 def read_datapoints_csv(path) -> list[Datapoint]:
     """Read a dataset CSV with header ``f1,...,fd[,label]``.
 
-    Features are decimal floats; the label, when the column is present, is
-    an integer.  Any malformed header or cell raises DataError.
+    Features are finite decimal floats; the label, when the column is
+    present, is an integer.  Any malformed header or cell raises DataError.
     """
     try:
         with open(path, newline="") as fh:
@@ -243,6 +248,8 @@ def read_datapoints_csv(path) -> list[Datapoint]:
                     label = int(row[-1]) if has_label else None
                 except ValueError as exc:
                     raise DataError(f"{path}:{lineno}: {exc}") from None
+                if not np.all(np.isfinite(feats)):
+                    raise DataError(f"{path}:{lineno}: non-finite feature in {row}")
                 points.append(Datapoint(features=feats, label=label))
     except OSError as exc:
         raise DataError(f"{path}: {exc}") from None

@@ -2,13 +2,13 @@
 
 Each family maps a batch of m conformal p-values to a statistic T and a
 p-value u for H0: contamination factor <= pi_th.  Decomposing over the
-number k of inliers in the batch, with b_k the inlier-count binomial mass:
+number k of inliers in the batch, with b_k the inlier-count binomial mass
+and U(j, x) = sum_{k<=j} b_k + sum_{k>j} b_k F_NHG(x; n+k, n, k-j):
 
   Storey    T = #{p_i > lambda},      exact at any calibration size:
-            u = sum_{k>T} b_k F_NHG(floor(lambda (n+1)) - 1; n+k, n, k-T)
-                + sum_{k<=T} b_k
+            u = U(T, floor(lambda (n+1)) - 1)
   Quantile  T = (n+1) p_(m-i0),       exact:
-            u = sum_{k>i0} b_k F_NHG(T - 1; n+k, n, k-i0) + sum_{k<=i0} b_k
+            u = U(i0, T - 1)
   Fisher    T = 2 sum log((n+1) p_i), asymptotic in n
   Sum       T = sum p_i,              asymptotic in n
   GenericG  T = sum g(p_i) for an increasing nonnegative g, asymptotic
@@ -18,7 +18,8 @@ formula: u = pi_th^m + sum_{k>=1} b_k F_{g,k}((T + k(s_k - 1) I_g)/s_k)
 where s_k = sqrt(1 + k/n), I_g = int_0^1 g, and F_{g,k} is the CDF of a
 k-fold sum of g over uniforms.  Storey and Quantile p-values depend on the
 data only through a small integer statistic, so their full value tables
-are cached per configuration.
+are cached per configuration.  Both read U, built from rows of the one NHG
+kernel :func:`~confcontam.statdist.nhg_cdf_rows`, along its two axes.
 
 The Fisher family defaults to the form derived by mapping its transform
 through the chi-square complement (``fisher_formula="derived"``); the
@@ -37,15 +38,15 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError
-from .statdist import (
+# nhg_cdf and nhg_cdf_table stay bound for bench/tracing.py, which patches them here
+from .statdist import (  # noqa: F401
     GFunction,
-    NhgParams,
     binom_pmf_inliers_vector,
-    chi2_cdf,
     fisher_variant_g,
     gsum_cdf,
     identity_g,
     nhg_cdf,
+    nhg_cdf_rows,
     nhg_cdf_table,
 )
 
@@ -68,6 +69,9 @@ __all__ = [
 ]
 
 FAMILIES = ("storey", "quantile", "fisher", "sum", "generic_g")
+
+# entries kept per exact-table cache, so scans over fresh pi_th stay bounded
+TABLE_CACHE_SIZE = 128
 
 
 @dataclass(frozen=True)
@@ -143,21 +147,21 @@ def storey_stat(pvalues, lam: float, n_cal: int, snap: bool = False) -> int:
     return int(np.sum(np.asarray(pvalues, dtype=float) > lam_grid))
 
 
-@lru_cache(maxsize=None)
-def _storey_table(m: int, n_cal: int, lam_index: int, pi_th: float) -> tuple:
+def _mixture(b: np.ndarray, n_cal: int, j: int, x_hi: int) -> np.ndarray:
+    """U(j, x) over x = 0..x_hi, for b the binomial over k = 0..m and j < m."""
+    rows = nhg_cdf_rows(n_cal, j, np.arange(j + 1, b.size), x_hi)
+    return np.minimum(np.sum(b[: j + 1]) + b[j + 1 :] @ rows, 1.0)
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _storey_table(m: int, n_cal: int, lam_index: int, pi_th: float) -> np.ndarray:
+    """U(T, lam_index - 1) at index T = 0..m."""
     b = binom_pmf_inliers_vector(m, pi_th)
-    head = np.cumsum(b)  # head[t] = sum_{k<=t} b_k
     x = lam_index - 1
-    out = []
-    for t in range(m + 1):
-        if t == m:
-            out.append(1.0)  # second sum covers the whole binomial
-            continue
-        tail = 0.0
-        for k in range(t + 1, m + 1):
-            tail += b[k] * nhg_cdf(x, NhgParams(n_cal + k, n_cal, k - t))
-        out.append(min(1.0, tail + float(head[t])))
-    return tuple(out)
+    # U(m, x) sums the whole binomial: 1 exactly
+    table = np.array([_mixture(b, n_cal, t, x)[x] for t in range(m)] + [1.0])
+    table.flags.writeable = False  # cached, so shared by every caller
+    return table
 
 
 def storey_pvalue(T: int, m: int, n_cal: int, spec: ContamTestSpec) -> float:
@@ -165,7 +169,7 @@ def storey_pvalue(T: int, m: int, n_cal: int, spec: ContamTestSpec) -> float:
         raise ValueError(f"T must lie in [0, {m}], got {T}")
     lam = spec.lam if spec.lam is not None else default_lambda(n_cal)
     lam_index = lambda_grid_index(lam, n_cal)
-    return _storey_table(m, n_cal, lam_index, spec.pi_th)[T]
+    return float(_storey_table(m, n_cal, lam_index, spec.pi_th)[T])
 
 
 def quantile_stat(pvalues, i0: int, n_cal: int) -> int:
@@ -183,21 +187,12 @@ def quantile_stat(pvalues, i0: int, n_cal: int) -> int:
     return int(T)
 
 
-@lru_cache(maxsize=None)
-def _quantile_table(m: int, n_cal: int, i0: int, pi_th: float) -> tuple:
-    b = binom_pmf_inliers_vector(m, pi_th)
-    base = float(np.sum(b[: i0 + 1]))
-    if i0 + 1 > m:
-        tail = np.zeros(n_cal + 1)
-    else:
-        rows = np.stack(
-            [
-                nhg_cdf_table(NhgParams(n_cal + k, n_cal, k - i0))
-                for k in range(i0 + 1, m + 1)
-            ]
-        )
-        tail = rows.T @ b[i0 + 1 :]
-    return tuple(np.minimum(base + tail, 1.0))  # index x corresponds to T = x+1
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _quantile_table(m: int, n_cal: int, i0: int, pi_th: float) -> np.ndarray:
+    """U(i0, T - 1) at index T - 1, for T = 1..n_cal+1; requires i0 < m."""
+    table = _mixture(binom_pmf_inliers_vector(m, pi_th), n_cal, i0, n_cal)
+    table.flags.writeable = False
+    return table
 
 
 def quantile_pvalue(T: int, m: int, n_cal: int, spec: ContamTestSpec) -> float:
@@ -206,7 +201,7 @@ def quantile_pvalue(T: int, m: int, n_cal: int, spec: ContamTestSpec) -> float:
     i0 = spec.i0 if spec.i0 is not None else default_i0(m)
     if not 0 <= i0 <= m - 1:
         raise ConfigurationError(f"i0 must lie in [0, {m - 1}], got {i0}")
-    return _quantile_table(m, n_cal, i0, spec.pi_th)[T - 1]
+    return float(_quantile_table(m, n_cal, i0, spec.pi_th)[T - 1])
 
 
 def fisher_stat(pvalues, n_cal: int) -> float:
@@ -230,25 +225,16 @@ def _gsum_pvalue(T: float, m: int, n_cal: int, pi_th: float, g: GFunction) -> fl
     return min(1.0, acc)
 
 
-def _fisher_printed_pvalue(T: float, m: int, n_cal: int, pi_th: float) -> float:
-    # The combination formula as printed, with the chi-square CDF applied
-    # directly rather than through the complement mapping.  Kept only for
-    # side-by-side comparison: its orientation reverses, so it does not
-    # reject under heavy contamination.
-    b = binom_pmf_inliers_vector(m, pi_th)
-    ln_inv = math.log(1.0 / (n_cal + 1.0))
-    acc = pi_th**m
-    for k in range(1, m + 1):
-        scale = math.sqrt(1.0 + k / n_cal)
-        arg = (-T - 2.0 * k * ln_inv + 2.0 * k * (scale - 1.0)) / scale
-        acc += b[k] * chi2_cdf(arg, 2 * k)
-    return min(1.0, acc)
-
-
 def fisher_pvalue(T: float, m: int, n_cal: int, spec: ContamTestSpec) -> float:
+    g = fisher_variant_g(n_cal)
     if spec.fisher_formula == "printed":
-        return _fisher_printed_pvalue(T, m, n_cal, spec.pi_th)
-    return _gsum_pvalue(T, m, n_cal, spec.pi_th, fisher_variant_g(n_cal))
+        # The formula as printed applies the chi-square CDF directly at
+        # 2k ln(n+1) - y: the complement of the closed form.  Kept only for
+        # comparison: its orientation reverses, so it does not reject under
+        # heavy contamination.
+        cdf = g.closed_form_cdf
+        g = replace(g, closed_form_cdf=lambda y, k: 1.0 - cdf(y, k))
+    return _gsum_pvalue(T, m, n_cal, spec.pi_th, g)
 
 
 def sum_stat(pvalues) -> float:
@@ -264,9 +250,9 @@ def sum_pvalue(T: float, m: int, n_cal: int, spec: ContamTestSpec) -> float:
 def generic_g_pvalue(pvalues, g: GFunction, n_cal: int, pi_th: float) -> float:
     """Asymptotic p-value for the statistic sum_i g(p_i).
 
-    With g tagged identity or fisher this reproduces sum_pvalue and the
-    derived fisher_pvalue bit for bit (same code path); untagged g goes
-    through the Monte Carlo CDF.
+    With g identity_g or fisher_variant_g this reproduces sum_pvalue and
+    the derived fisher_pvalue bit for bit (same code path); a g without a
+    closed-form CDF goes through the Monte Carlo CDF.
     """
     p = np.asarray(pvalues, dtype=float)
     T = float(np.sum(g(p)))
@@ -296,8 +282,6 @@ def run_contam_test(pvalues, spec: ContamTestSpec, n_cal: int) -> ContamTestResu
         T = storey_stat(p, spec.lam, n_cal)
         u = storey_pvalue(T, m, n_cal, spec)
     elif spec.family == "quantile":
-        if not 0 <= spec.i0 <= m - 1:
-            raise ConfigurationError(f"i0 must lie in [0, {m - 1}], got {spec.i0}")
         T = quantile_stat(p, spec.i0, n_cal)
         u = quantile_pvalue(T, m, n_cal, spec)
     elif spec.family == "fisher":

@@ -1,9 +1,10 @@
 """Log-space distributions behind the contamination p-value formulas.
 
 Covers the negative hypergeometric law governing order statistics of
-conformal p-values, the inlier-count binomial that weights batch
-compositions, the chi-square and Irwin-Hall CDFs used by the asymptotic
-combination tests, and Monte Carlo CDFs for sums of a transformed uniform.
+conformal p-values (every NHG CDF comes from one kernel, :func:`nhg_cdf_rows`),
+the inlier-count binomial that weights batch compositions, the chi-square
+and Irwin-Hall CDFs used by the asymptotic combination tests, and Monte
+Carlo CDFs for sums of a transformed uniform.
 
 All combinatorial masses are computed in log space (via ``gammaln``) and
 exponentiated at the end, so batch sizes of a few hundred stay exact to
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gammainc, gammaln
 
 __all__ = [
@@ -38,6 +40,7 @@ __all__ = [
     "irwin_hall_cdf",
     "log_binom_coef",
     "nhg_cdf",
+    "nhg_cdf_rows",
     "nhg_cdf_table",
 ]
 
@@ -142,16 +145,28 @@ def binom_pmf_inliers(k: int, params: BinomParams) -> float:
     return float(binom_pmf_inliers_vector(params.trials, params.contamination)[k])
 
 
-def _nhg_log_pmf_prefix(params: NhgParams, x_hi: int) -> np.ndarray:
-    """Log PMF on {0, ..., x_hi}; requires failures >= 1 and x_hi <= Ks."""
-    big_n, ks, r = params.population_size, params.success_states, params.failures
+def nhg_cdf_rows(n: int, j: int, k, x_hi: int) -> np.ndarray:
+    """NHG CDF rows F(x; n+k, n, k-j) over x = 0..x_hi, one row per entry of k.
+
+    Row i is the CDF of the number of successes drawn, from n successes and
+    k[i] failures, before the (k[i]-j)-th failure.  Requires every
+    k > j >= 0 (at least one failure to stop on) and 0 <= x_hi <= n.
+    """
+    r = np.asarray(k, dtype=np.int64) - j  # failures to stop on
     x = np.arange(x_hi + 1)
-    # P(X = x) = C(x+r-1, x) C(N-r-x, Ks-x) / C(N, Ks)
-    return (
-        _log_comb(x + r - 1, x)
-        + _log_comb(big_n - r - x, ks - x)
-        - log_binom_coef(big_n, ks)
-    )
+    lf = gammaln(np.arange(n + j + int(r.max()) + 1) + 1.0)  # lf[i] = ln i!
+    # P(X = x) = C(x+r-1, x) C(n+j-x, n-x) / C(n+j+r, n), its log built in
+    # place; window r-1 of lf holds lf[x+r-1] for every x.
+    pmf = sliding_window_view(lf, x_hi + 1)[r - 1]
+    pmf -= lf[x]
+    pmf -= lf[r - 1][:, None]
+    pmf += _log_comb(n + j - x, n - x)
+    pmf -= _log_comb(n + j + r, n)[:, None]
+    cdf = np.cumsum(np.exp(pmf, out=pmf), axis=1, out=pmf)
+    np.minimum(cdf, 1.0, out=cdf)
+    if x_hi == n:
+        cdf[:, n] = 1.0  # top of support, exact by definition
+    return cdf
 
 
 def nhg_cdf(x, params: NhgParams) -> float:
@@ -160,28 +175,18 @@ def nhg_cdf(x, params: NhgParams) -> float:
     Integer x expected; a float is floored first.
     """
     x = math.floor(x)
-    ks = params.success_states
     if x < 0:
         return 0.0
-    if x >= ks:
-        return 1.0
-    if params.failures == 0:
-        return 0.0  # point mass at Ks and x < Ks here
-    total = float(np.exp(_nhg_log_pmf_prefix(params, x)).sum())
-    return min(1.0, total)
+    return float(nhg_cdf_table(params)[min(x, params.success_states)])
 
 
 def nhg_cdf_table(params: NhgParams) -> np.ndarray:
     """CDF over the full support {0, ..., success_states}."""
-    ks = params.success_states
+    n = params.success_states
+    k = params.population_size - n
     if params.failures == 0:
-        table = np.zeros(ks + 1)
-        table[ks] = 1.0
-        return table
-    pmf = np.exp(_nhg_log_pmf_prefix(params, ks))
-    table = np.minimum(np.cumsum(pmf), 1.0)
-    table[-1] = 1.0  # top of support, exact by definition
-    return table
+        return (np.arange(n + 1) == n).astype(float)  # point mass at n
+    return nhg_cdf_rows(n, k - params.failures, [k], n)[0]
 
 
 def chi2_cdf(x: float, dof: int) -> float:
@@ -241,7 +246,6 @@ class GFunction:
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
     exact_integral: float
-    closed_form_tag: str = "none"  # "identity" | "fisher" | "none"
     closed_form_cdf: Callable[[float, int], float] | None = None
 
     def __call__(self, u):
@@ -256,7 +260,6 @@ identity_g = GFunction(
     name="identity",
     fn=_identity_fn,
     exact_integral=0.5,
-    closed_form_tag="identity",
     closed_form_cdf=irwin_hall_cdf,
 )
 
@@ -284,7 +287,6 @@ def fisher_variant_g(n_cal: int) -> GFunction:
         name=f"fisher_n{n_cal}",
         fn=fn,
         exact_integral=2.0 * ln_np1 - 2.0,
-        closed_form_tag="fisher",
         closed_form_cdf=cdf,
     )
 
@@ -328,7 +330,7 @@ def gsum_cdf(
 ) -> float:
     """CDF of sum_{i=1}^k g(U_i), U_i iid standard uniform, at y.
 
-    Tagged transforms use their closed form; anything else gets an
+    Transforms with a closed form use it; anything else gets an
     empirical CDF over a cached Monte Carlo sample drawn under a sub-seed
     fixed by (mc_seed, g.name, k), so repeated calls are deterministic.
     """

@@ -111,6 +111,23 @@ class TestContamTestCommand:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_score_is_data_error(self, capsys, tmp_path, bad):
+        scores = tmp_path / "scores.txt"
+        scores.write_text(f"-0.5\n{bad}\n")
+        code, out = run_cli(
+            [
+                "contam-test",
+                "--null-scores", str(DATA / "null_scores.txt"),
+                "--test-scores", str(scores),
+                "--family", "storey",
+                "--pi-th", "0.1",
+            ],
+            capsys,
+        )
+        assert code == 3
+        assert out == ""
+
     def test_off_grid_lambda_is_config_error(self, capsys):
         code, _ = run_cli(
             [
@@ -203,6 +220,22 @@ class TestPvaluesCommand:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_is_data_error(self, capsys, tmp_path, bad):
+        points = tmp_path / "test.csv"
+        points.write_text(f"f1,f2\n0.0,0.1\n{bad},0.2\n")
+        code, out = run_cli(
+            [
+                "pvalues",
+                "--null", str(DATA / "null_points.csv"),
+                "--test", str(points),
+                "--score", "negnorm",
+            ],
+            capsys,
+        )
+        assert code == 3
+        assert out == ""
+
 
 class TestSelectCommand:
     def test_budget_mode_golden(self, capsys):
@@ -257,6 +290,17 @@ class TestSelectCommand:
             ["select", "--pvalues", str(bad), "--mode", "threshold"], capsys
         )
         assert code == 3
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("row", ["x,{},0.5", "x,1,{}"])
+    def test_non_finite_value_is_data_error(self, capsys, tmp_path, row, bad):
+        table = tmp_path / "agents.csv"
+        table.write_text("agent_id,statistic,p_value\ny,2,0.1\n" + row.format(bad) + "\n")
+        code, out = run_cli(
+            ["select", "--pvalues", str(table), "--mode", "threshold"], capsys
+        )
+        assert code == 3
+        assert out == ""
 
 
 class TestSimulateCommand:

@@ -61,6 +61,13 @@ class TestConformalPvalues:
     def test_tie_counts_as_leq(self):
         assert conformal_pvalues_from_scores([1, 2, 3], [2])[0] == pytest.approx(0.75)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(DataError):
+            conformal_pvalues_from_scores(np.arange(10.0), [0.5, bad])
+        with pytest.raises(DataError):
+            conformal_pvalues_from_scores([1.0, bad, 3.0], [0.5])
+
     def test_empty_test_set(self):
         cal = ConformalCalibration(score=negative_norm_trainer([]), cal_scores=[1.0, 2.0])
         assert conformal_pvalues(cal, []).size == 0

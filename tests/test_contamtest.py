@@ -3,6 +3,7 @@
 Tolerance guide:
   - hand-derived / closed-form values:        abs 1e-12
   - Storey-Quantile duality:                  abs 1e-12
+  - exact tables against scipy references:    abs 1e-12
   - generic-G closed-form consistency:        bitwise
   - generic-G Monte Carlo CDF consistency:    3 Monte Carlo SEs
 """
@@ -137,6 +138,60 @@ class TestStoreyQuantileDuality:
                                 r, m, n_cal, _spec("quantile", pi_th, i0=i0)
                             )
                             assert abs(s - q) <= 1e-12
+
+
+class TestExactTablesAtScale:
+    """Storey and Quantile tables at benchmark sizes against scipy.
+
+    The reference reads F_NHG(x; n+k, n, r) as a hypergeometric tail: X <= x
+    iff at least r of the first x + r draws are failures.  scipy's
+    hypergeom survival function stays within ~1e-15 of exact arithmetic at
+    these sizes, where the betaln pmf behind nhypergeom drifts by up to
+    ~9e-13, so the tail identity is itself checked against nhypergeom at
+    the smaller size only.
+    """
+
+    @staticmethod
+    def _nhg_cdf(x, n_cal, k, r):
+        from scipy.stats import hypergeom
+
+        return hypergeom.sf(r - 1, n_cal + k, k, x + r)
+
+    def test_tail_identity_matches_nhypergeom(self):
+        from scipy.stats import nhypergeom
+
+        m, n_cal, i0 = 100, 200, default_i0(100)
+        k, x = np.arange(i0 + 1, m + 1)[:, None], np.arange(n_cal + 1)
+        reference = np.cumsum(nhypergeom.pmf(x, n_cal + k, n_cal, k - i0), axis=1)
+        assert np.abs(self._nhg_cdf(x, n_cal, k, k - i0) - reference).max() <= 1e-12
+
+    @pytest.mark.parametrize("m,n_cal", [(100, 200), (200, 1000)])
+    def test_against_scipy(self, m, n_cal):
+        from scipy.stats import binom
+
+        lam = default_lambda(n_cal)
+        x_star = round(lam * (n_cal + 1)) - 1
+        i0 = default_i0(m)
+        k = np.arange(1, m + 1)
+        # storey_rows[t, k-1] = F_NHG(x_star; n+k, n, k-t), zero where k <= t
+        t_col = np.arange(m)[:, None]
+        r = np.maximum(k - t_col, 1)
+        storey_rows = np.where(k > t_col, self._nhg_cdf(x_star, n_cal, k, r), 0.0)
+        # quantile_rows[k-i0-1, s] = F_NHG(ts[s]-1; n+k, n, k-i0) for k > i0
+        kq = k[i0:, None]
+        ts = np.arange(1, n_cal + 2, 7)
+        quantile_rows = self._nhg_cdf(ts - 1, n_cal, kq, kq - i0)
+        for pi_th in (0.03, 0.2, 0.45):
+            b = binom.pmf(np.arange(m + 1), m, 1.0 - pi_th)
+            storey = _spec("storey", pi_th, lam=lam)
+            for t in range(m):
+                expected = b[: t + 1].sum() + b[1:] @ storey_rows[t]
+                assert abs(storey_pvalue(t, m, n_cal, storey) - expected) <= 1e-12
+            assert storey_pvalue(m, m, n_cal, storey) == 1.0
+            quantile = _spec("quantile", pi_th, i0=i0)
+            expected = b[: i0 + 1].sum() + b[i0 + 1 :] @ quantile_rows
+            for t, u in zip(ts, expected):
+                assert abs(quantile_pvalue(int(t), m, n_cal, quantile) - u) <= 1e-12
 
 
 class TestFisherStat:
