@@ -16,7 +16,6 @@ from .conformal import (
     knn_distance_trainer,
     negative_norm_trainer,
     read_datapoints_csv,
-    score_negative_norm,
     split_fit,
     split_sample,
 )
@@ -62,16 +61,13 @@ from .protocol import (
     select_threshold,
 )
 from .statdist import (
-    BinomParams,
     GFunction,
     NhgParams,
-    binom_pmf_inliers,
     chi2_cdf,
     fisher_variant_g,
     gsum_cdf,
     identity_g,
     irwin_hall_cdf,
-    log_binom_coef,
     nhg_cdf,
 )
 

@@ -233,23 +233,26 @@ def cmd_select(args) -> int:
         decision = select_fixed_budget(assessments, args.k_budget, gamma=args.gamma)
     else:
         decision = select_threshold(assessments, args.alpha, args.gamma)
-    outcome = decision.mht_outcome
-    _emit(
-        {
-            "selected": list(decision.selected),
-            "mode": decision.mode,
-            "fdr_estimate": decision.fdr_estimate,
-            "warning": decision.warning,
-            "mht": None
-            if outcome is None
-            else {
-                "rejected": sorted(outcome.rejected),
-                "kappa": outcome.kappa,
-                "k0_hat": outcome.k0_hat,
-            },
-        }
-    )
+    _emit(decision.to_json_dict())
     return 0
+
+
+def _pi_kwargs(pi) -> dict:
+    """The pi-rule keywords of ScenarioConfig and GaussianSource from a pi object."""
+    if not isinstance(pi, dict) or "rule" not in pi:
+        raise ConfigurationError(f"pi must be an object {{rule: ...}}, got {pi!r}")
+    values = pi.get("values")
+    try:
+        values = None if values is None else tuple(float(v) for v in values)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"pi values must be a list of numbers, got {values!r}") from None
+    return {
+        "pi_rule": pi["rule"],
+        "pi_values": values,
+        "k0": pi.get("k0"),
+        "pi0": pi.get("pi0"),
+        "pi1": pi.get("pi1"),
+    }
 
 
 def _scenario_from_doc(doc: dict, args) -> tuple[ScenarioConfig, object, str, str]:
@@ -262,16 +265,6 @@ def _scenario_from_doc(doc: dict, args) -> tuple[ScenarioConfig, object, str, st
     families = doc.get("family")
     if families is None:
         raise ConfigurationError("simulate config needs a family (string or list)")
-    pi = doc.get("pi", {})
-    if not isinstance(pi, dict) or "rule" not in pi:
-        raise ConfigurationError("simulate config needs pi: {rule: ...}")
-    pi_kwargs = {}
-    if pi["rule"] == "fixed":
-        pi_kwargs["pi_values"] = tuple(float(v) for v in pi.get("values", ()))
-    elif pi["rule"] == "split":
-        pi_kwargs.update(
-            k0=pi.get("k0"), pi0=pi.get("pi0"), pi1=pi.get("pi1")
-        )
     config = ScenarioConfig(
         n=doc["n"],
         m=doc["m"],
@@ -279,7 +272,6 @@ def _scenario_from_doc(doc: dict, args) -> tuple[ScenarioConfig, object, str, st
         ell=doc.get("ell", 0),
         dim=doc.get("dim", 2),
         mu1=doc.get("mu1", 4.0),
-        pi_rule=pi["rule"],
         pi_th=doc.get("pi_th", 0.0),
         alpha=doc.get("alpha", 0.05),
         gamma=doc.get("gamma", 0.5),
@@ -292,7 +284,7 @@ def _scenario_from_doc(doc: dict, args) -> tuple[ScenarioConfig, object, str, st
         seed=args.seed if args.seed is not None else doc.get("seed", 0),
         count_rule=doc.get("count_rule", "per_batch"),
         score=doc.get("score", "negnorm"),
-        **pi_kwargs,
+        **_pi_kwargs(doc.get("pi")),
     )
     return config, families, study, doc.get("procedure", "storey_bh")
 
@@ -323,7 +315,6 @@ def cmd_protocol(args) -> int:
     if not isinstance(scenario, dict):
         raise ConfigurationError("protocol config key 'scenario' must be an object")
     config = ProtocolConfig.from_json_dict(doc)
-    pi = scenario.get("pi", {"rule": "uniform"})
     source = GaussianSource(
         n=config.n,
         m=config.m,
@@ -331,11 +322,7 @@ def cmd_protocol(args) -> int:
         seed=config.seed,
         dim=scenario.get("dim", 2),
         mu1=scenario.get("mu1", 4.0),
-        pi_rule=pi.get("rule", "uniform"),
-        pi_values=pi.get("values"),
-        k0=pi.get("k0"),
-        pi0=pi.get("pi0"),
-        pi1=pi.get("pi1"),
+        **_pi_kwargs(scenario.get("pi", {"rule": "uniform"})),
     )
     report = run_procedure(config, source)
     _emit(report.to_json_dict())

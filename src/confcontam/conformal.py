@@ -18,7 +18,7 @@ continuous scores.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,7 +35,6 @@ __all__ = [
     "knn_distance_trainer",
     "negative_norm_trainer",
     "read_datapoints_csv",
-    "score_negative_norm",
     "split_fit",
     "split_sample",
     "stack_features",
@@ -60,11 +59,6 @@ def stack_features(points: Sequence[Datapoint]) -> np.ndarray:
         return np.empty((0, 0))
     mat = np.stack([np.asarray(p.features, dtype=float).ravel() for p in points])
     return mat
-
-
-def score_negative_norm(point: Datapoint) -> float:
-    """-||features||_2; needs no fitting, so ell may be 0."""
-    return -float(np.linalg.norm(np.asarray(point.features, dtype=float)))
 
 
 def _negative_norm_batch(points: Sequence[Datapoint]) -> np.ndarray:
@@ -160,13 +154,11 @@ class ConformalCalibration:
 
     score: ScoreFn
     cal_scores: np.ndarray
-    _sorted: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.cal_scores = np.asarray(self.cal_scores, dtype=float)
         if self.cal_scores.size < 1:
             raise ConfigurationError("calibration requires at least one score")
-        self._sorted = np.sort(self.cal_scores)
 
     @property
     def n_cal(self) -> int:
@@ -205,11 +197,7 @@ def conformal_pvalues(
     cal: ConformalCalibration, test_points: Sequence[Datapoint]
 ) -> np.ndarray:
     """One conformal p-value per test point; empty input gives empty output."""
-    if len(test_points) == 0:
-        return np.empty(0)
-    test_scores = np.asarray(cal.score(test_points), dtype=float)
-    counts = np.searchsorted(cal._sorted, test_scores, side="right")
-    return (1.0 + counts) / (cal.n_cal + 1.0)
+    return conformal_pvalues_from_scores(cal.cal_scores, cal.score(test_points))
 
 
 def read_datapoints_csv(path) -> list[Datapoint]:

@@ -123,15 +123,9 @@ def default_i0(m: int) -> int:
     return m // 3
 
 
-def lambda_grid_index(lam: float, n_cal: int, snap: bool = False) -> int:
-    """Map lam to its integer grid index r with lam = r/(n_cal+1).
-
-    Off-grid values raise unless ``snap`` is set, in which case lam is
-    snapped down to floor(lam (n_cal+1)) clamped into [1, n_cal].
-    """
+def lambda_grid_index(lam: float, n_cal: int) -> int:
+    """Map lam to its integer grid index r with lam = r/(n_cal+1); off-grid values raise."""
     t = lam * (n_cal + 1)
-    if snap:
-        return min(n_cal, max(1, math.floor(t)))
     r = round(t)
     if abs(t - r) > 1e-9 or not 1 <= r <= n_cal:
         raise ConfigurationError(
@@ -140,9 +134,9 @@ def lambda_grid_index(lam: float, n_cal: int, snap: bool = False) -> int:
     return r
 
 
-def storey_stat(pvalues, lam: float, n_cal: int, snap: bool = False) -> int:
+def storey_stat(pvalues, lam: float, n_cal: int) -> int:
     """Count of conformal p-values strictly above lambda."""
-    r = lambda_grid_index(lam, n_cal, snap=snap)
+    r = lambda_grid_index(lam, n_cal)
     lam_grid = r / (n_cal + 1)
     return int(np.sum(np.asarray(pvalues, dtype=float) > lam_grid))
 

@@ -15,10 +15,12 @@ that backs protocol runs.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -43,22 +45,66 @@ __all__ = [
     "mc_power",
     "null_agent_mask",
     "oracle_nhg_enumeration",
+    "outlier_mask",
     "permutation_two_sample",
+    "resolve_pis",
 ]
 
 TEST_FAMILIES = ("storey", "quantile", "fisher", "sum")
+
+
+def resolve_pis(
+    pi_rule: str,
+    k: int,
+    rng: np.random.Generator | None,
+    pi_values: Sequence[float] | None = None,
+    k0: int | None = None,
+    pi0: float | None = None,
+    pi1: float | None = None,
+) -> np.ndarray:
+    """Contamination factors of k agents under ``pi_rule``.
+
+    "fixed" takes ``pi_values`` verbatim, "split" gives the first k0 agents
+    pi0 and the rest pi1, and "uniform" draws k iid standard uniforms from
+    ``rng``, the only rule that consumes it.  Without an rng the "uniform"
+    rule has no factors to give, so it raises.
+    """
+    if pi_rule == "fixed":
+        if pi_values is None or len(pi_values) != k:
+            raise ConfigurationError("pi_rule='fixed' needs pi_values of length k")
+        return np.asarray(pi_values, dtype=float)
+    if pi_rule == "split":
+        if k0 is None or pi0 is None or pi1 is None:
+            raise ConfigurationError("pi_rule='split' needs k0, pi0, pi1")
+        if not (isinstance(k0, numbers.Integral) and 0 <= k0 <= k):
+            raise ConfigurationError(f"k0 must be an integer in [0, {k}], got {k0!r}")
+        pis = np.full(k, float(pi1))
+        pis[:k0] = float(pi0)
+        return pis
+    if pi_rule != "uniform":
+        raise ConfigurationError(f"unknown pi_rule {pi_rule!r}")
+    if rng is None:
+        raise ConfigurationError("pi_rule='uniform' has no static factors without an rng")
+    return rng.uniform(size=k)
+
+
+def outlier_mask(rng: np.random.Generator, size: int, pi: float) -> np.ndarray:
+    """Outlier flags of ``size`` points: Binomial(size, pi) True ones, shuffled."""
+    mask = np.zeros(size, dtype=bool)
+    mask[: rng.binomial(size, pi)] = True
+    rng.shuffle(mask)
+    return mask
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One Gaussian simulation cell.
 
-    Contamination factors follow ``pi_rule``: "fixed" takes ``pi_values``
-    verbatim, "split" gives the first k0 agents pi0 and the rest pi1, and
-    "uniform" redraws iid standard uniforms each replicate.
-    ``count_rule`` picks how many points of a batch are outliers:
-    "per_batch" draws Binomial(m, pi) per batch, "per_2m" draws
-    Binomial(2m, pi) over an agent's two-round pool and slices the first m.
+    Contamination factors follow ``pi_rule`` as :func:`resolve_pis` reads
+    it; the "uniform" rule redraws them each replicate.  ``count_rule``
+    picks how many points of a batch are outliers: "per_batch" draws
+    Binomial(m, pi) per batch, "per_2m" draws Binomial(2m, pi) over an
+    agent's two-round pool and slices the first m.
     """
 
     n: int
@@ -94,32 +140,18 @@ class ScenarioConfig:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.count_rule not in ("per_batch", "per_2m"):
             raise ConfigurationError(f"unknown count_rule {self.count_rule!r}")
-        if self.pi_rule == "fixed":
-            if self.pi_values is None or len(self.pi_values) != self.k:
-                raise ConfigurationError(
-                    "pi_rule='fixed' needs pi_values of length k"
-                )
-        elif self.pi_rule == "split":
-            if self.k0 is None or self.pi0 is None or self.pi1 is None:
-                raise ConfigurationError("pi_rule='split' needs k0, pi0, pi1")
-            if not 0 <= self.k0 <= self.k:
-                raise ConfigurationError(f"k0 must lie in [0, {self.k}]")
-        elif self.pi_rule != "uniform":
-            raise ConfigurationError(f"unknown pi_rule {self.pi_rule!r}")
+        if not math.isfinite(self.mu1):
+            raise ConfigurationError(f"mu1 must be finite, got {self.mu1}")
+        self.resolve_pis(np.random.default_rng(0))  # raises on an invalid pi rule
 
     @property
     def n_cal(self) -> int:
         return self.n - self.ell
 
-
-def _resolve_pis(config: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
-    if config.pi_rule == "fixed":
-        return np.asarray(config.pi_values, dtype=float)
-    if config.pi_rule == "split":
-        pis = np.full(config.k, float(config.pi1))
-        pis[: config.k0] = float(config.pi0)
-        return pis
-    return rng.uniform(size=config.k)
+    def resolve_pis(self, rng: np.random.Generator | None) -> np.ndarray:
+        return resolve_pis(
+            self.pi_rule, self.k, rng, self.pi_values, self.k0, self.pi0, self.pi1
+        )
 
 
 def null_agent_mask(config: ScenarioConfig) -> np.ndarray:
@@ -128,22 +160,7 @@ def null_agent_mask(config: ScenarioConfig) -> np.ndarray:
     Only static rules have a fixed ground truth; the "uniform" rule redraws
     factors each replicate and has no per-study mask.
     """
-    if config.pi_rule == "uniform":
-        raise ConfigurationError("no static ground truth under pi_rule='uniform'")
-    rng = np.random.default_rng(0)  # unused by static rules
-    return _resolve_pis(config, rng) <= config.pi_th
-
-
-def _batch_mask(config: ScenarioConfig, pi: float, rng: np.random.Generator) -> np.ndarray:
-    if config.count_rule == "per_2m":
-        mask2 = np.zeros(2 * config.m, dtype=bool)
-        mask2[: rng.binomial(2 * config.m, pi)] = True
-        rng.shuffle(mask2)
-        return mask2[: config.m]
-    mask = np.zeros(config.m, dtype=bool)
-    mask[: rng.binomial(config.m, pi)] = True
-    rng.shuffle(mask)
-    return mask
+    return config.resolve_pis(None) <= config.pi_th
 
 
 def gen_scenario(
@@ -151,12 +168,13 @@ def gen_scenario(
 ) -> tuple[list[Datapoint], list[AgentBatch], list[np.ndarray]]:
     """Null sample, per-agent round-1 batches, and per-point outlier masks."""
     rng = np.random.default_rng([config.seed, int(replicate_index)])
-    pis = _resolve_pis(config, rng)
+    pis = config.resolve_pis(rng)
     null_feats = rng.standard_normal((config.n, config.dim))
     null_sample = [Datapoint(f) for f in null_feats]
+    pool = 2 * config.m if config.count_rule == "per_2m" else config.m
     batches, masks = [], []
     for a in range(config.k):
-        mask = _batch_mask(config, pis[a], rng)
+        mask = outlier_mask(rng, pool, pis[a])[: config.m]
         feats = rng.standard_normal((config.m, config.dim))
         feats[mask] += config.mu1
         batches.append(
@@ -234,14 +252,6 @@ def _power_replicate(config: ScenarioConfig, families, idx: int) -> list[dict]:
     return rows
 
 
-def _power_chunk(args) -> list[dict]:
-    config, families, start, stop = args
-    out = []
-    for idx in range(start, stop):
-        out.extend(_power_replicate(config, families, idx))
-    return out
-
-
 def _fdr_replicate(config: ScenarioConfig, families, procedure: str, idx: int) -> list[dict]:
     null_sample, batches, _ = gen_scenario(config, idx)
     cal = split_fit(null_sample, config.ell, trainer_from_tag(config.score))
@@ -274,24 +284,22 @@ def _fdr_replicate(config: ScenarioConfig, families, procedure: str, idx: int) -
     return rows
 
 
-def _fdr_chunk(args) -> list[dict]:
-    config, families, procedure, start, stop = args
+def _chunk(replicate, static_args: tuple, start: int, stop: int) -> list[dict]:
     out = []
     for idx in range(start, stop):
-        out.extend(_fdr_replicate(config, families, procedure, idx))
+        out.extend(replicate(*static_args, idx))
     return out
 
 
-def _run_chunked(worker, static_args: tuple, replicates: int, threads: int) -> list[dict]:
+def _run_chunked(replicate, static_args: tuple, replicates: int, threads: int) -> list[dict]:
+    """Rows of ``replicate(*static_args, idx)`` for idx = 0..replicates-1, in order."""
     if threads <= 1:
-        return worker(static_args + (0, replicates))
-    bounds = np.linspace(0, replicates, threads + 1).astype(int)
-    chunks = [
-        static_args + (int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b
-    ]
+        return _chunk(replicate, static_args, 0, replicates)
+    bounds = np.linspace(0, replicates, threads + 1).astype(int).tolist()
+    worker = partial(_chunk, replicate, static_args)
     rows: list[dict] = []
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        for part in pool.map(worker, chunks):
+        for part in pool.map(worker, bounds[:-1], bounds[1:]):
             rows.extend(part)
     return rows
 
@@ -302,7 +310,7 @@ def mc_power(config: ScenarioConfig, families, threads: int = 1) -> McReport:
         raise ConfigurationError("power study runs with a single agent (k=1)")
     families = _as_families(families)
     start = time.perf_counter()
-    rows = _run_chunked(_power_chunk, (config, families), config.replicates, threads)
+    rows = _run_chunked(_power_replicate, (config, families), config.replicates, threads)
     estimates = {}
     for fam in families:
         rejects = [r["reject"] for r in rows if r["family"] == fam]
@@ -333,7 +341,7 @@ def mc_fdr_tdr(
     families = _as_families(families)
     start = time.perf_counter()
     rows = _run_chunked(
-        _fdr_chunk, (config, families, procedure), config.replicates, threads
+        _fdr_replicate, (config, families, procedure), config.replicates, threads
     )
     estimates = {}
     for fam in families:
@@ -487,23 +495,14 @@ class GaussianSource:
     ) -> None:
         if seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {seed}")
+        if not math.isfinite(mu1):
+            raise ConfigurationError(f"mu1 must be finite, got {mu1}")
         self.n, self.m, self.k = n, m, k
         self.seed, self.dim, self.mu1 = seed, dim, mu1
         self.labeled, self.class_shift = labeled, class_shift
-        rng = np.random.default_rng([seed, 0])
-        if pi_rule == "uniform":
-            self.pis = rng.uniform(size=k)
-        elif pi_rule == "fixed":
-            if pi_values is None or len(pi_values) != k:
-                raise ConfigurationError("pi_rule='fixed' needs pi_values of length k")
-            self.pis = np.asarray(pi_values, dtype=float)
-        elif pi_rule == "split":
-            if k0 is None or pi0 is None or pi1 is None:
-                raise ConfigurationError("pi_rule='split' needs k0, pi0, pi1")
-            self.pis = np.full(k, float(pi1))
-            self.pis[:k0] = float(pi0)
-        else:
-            raise ConfigurationError(f"unknown pi_rule {pi_rule!r}")
+        self.pis = resolve_pis(
+            pi_rule, k, np.random.default_rng([seed, 0]), pi_values, k0, pi0, pi1
+        )
         self._ids = [f"agent{i:03d}" for i in range(k)]
         self._pools: dict[int, list[Datapoint]] = {}
 
@@ -521,17 +520,18 @@ class GaussianSource:
     def local_sample(self) -> list[Datapoint]:
         return self._inliers(np.random.default_rng([self.seed, 1]), self.n)
 
+    def _draw(self, rng: np.random.Generator, size: int, pi: float) -> list[Datapoint]:
+        mask = outlier_mask(rng, size, pi)
+        points = self._inliers(rng, size)
+        out_feats = rng.standard_normal((int(mask.sum()), self.dim)) + self.mu1
+        for slot, feat in zip(np.nonzero(mask)[0], out_feats):
+            points[slot] = Datapoint(feat, label=0 if self.labeled else None)
+        return points
+
     def _pool(self, idx: int) -> list[Datapoint]:
         if idx not in self._pools:
             rng = np.random.default_rng([self.seed, 2, idx])
-            mask = np.zeros(2 * self.m, dtype=bool)
-            mask[: rng.binomial(2 * self.m, self.pis[idx])] = True
-            rng.shuffle(mask)
-            points = self._inliers(rng, 2 * self.m)
-            out_feats = rng.standard_normal((int(mask.sum()), self.dim)) + self.mu1
-            for slot, feat in zip(np.nonzero(mask)[0], out_feats):
-                points[slot] = Datapoint(feat, label=0 if self.labeled else None)
-            self._pools[idx] = points
+            self._pools[idx] = self._draw(rng, 2 * self.m, self.pis[idx])
         return self._pools[idx]
 
     def batch(self, agent_id: str, round_index: int) -> AgentBatch:
@@ -545,11 +545,4 @@ class GaussianSource:
             points = pool[: self.m] if round_index == 1 else pool[self.m :]
             return AgentBatch(agent_id=agent_id, points=list(points))
         rng = np.random.default_rng([self.seed, 3, idx, round_index])
-        mask = np.zeros(self.m, dtype=bool)
-        mask[: rng.binomial(self.m, self.pis[idx])] = True
-        rng.shuffle(mask)
-        points = self._inliers(rng, self.m)
-        out_feats = rng.standard_normal((int(mask.sum()), self.dim)) + self.mu1
-        for slot, feat in zip(np.nonzero(mask)[0], out_feats):
-            points[slot] = Datapoint(feat, label=0 if self.labeled else None)
-        return AgentBatch(agent_id=agent_id, points=points)
+        return AgentBatch(agent_id=agent_id, points=self._draw(rng, self.m, self.pis[idx]))

@@ -23,6 +23,7 @@ import numpy as np
 from .conformal import (
     ConformalCalibration,
     Datapoint,
+    ScoreSplit,
     ScoreTrainer,
     conformal_pvalues,
     knn_distance_trainer,
@@ -97,6 +98,22 @@ class SelectionDecision:
     fdr_estimate: float | None = None
     mht_outcome: MultipleTestOutcome | None = None
     warning: str | None = None
+
+    def to_json_dict(self) -> dict:
+        outcome = self.mht_outcome
+        return {
+            "selected": list(self.selected),
+            "mode": self.mode,
+            "fdr_estimate": self.fdr_estimate,
+            "warning": self.warning,
+            "mht": None
+            if outcome is None
+            else {
+                "rejected": sorted(outcome.rejected),
+                "kappa": outcome.kappa,
+                "k0_hat": outcome.k0_hat,
+            },
+        }
 
 
 def trainer_from_tag(tag: str, k_nn: int = 5) -> ScoreTrainer:
@@ -259,20 +276,7 @@ class ProtocolConfig:
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "ell": self.ell,
-            "n": self.n,
-            "m": self.m,
-            "score": self.score,
-            "test": self.test,
-            "mode": self.mode,
-            "k_budget": self.k_budget,
-            "alpha": self.alpha,
-            "gamma": self.gamma,
-            "pi_th": self.pi_th,
-            "rounds": self.rounds,
-            "seed": self.seed,
-        }
+        return {key: getattr(self, key) for key in PROTOCOL_CONFIG_FIELDS}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ProtocolConfig":
@@ -306,22 +310,6 @@ class ProtocolReport:
     error: str | None = None
 
     def to_json_dict(self) -> dict:
-        decision = None
-        if self.decision is not None:
-            outcome = self.decision.mht_outcome
-            decision = {
-                "selected": list(self.decision.selected),
-                "mode": self.decision.mode,
-                "fdr_estimate": self.decision.fdr_estimate,
-                "warning": self.decision.warning,
-                "mht": None
-                if outcome is None
-                else {
-                    "rejected": sorted(outcome.rejected),
-                    "kappa": outcome.kappa,
-                    "k0_hat": outcome.k0_hat,
-                },
-            }
         return {
             "config": self.config.to_json_dict(),
             "assessments": [
@@ -333,7 +321,7 @@ class ProtocolReport:
                 }
                 for a in self.assessments
             ],
-            "decision": decision,
+            "decision": None if self.decision is None else self.decision.to_json_dict(),
             "acquisitions": list(self.acquisitions),
             "totals": {
                 "local": self.local_count,
@@ -344,6 +332,19 @@ class ProtocolReport:
             "partial": self.partial,
             "error": self.error,
         }
+
+
+def _fit_local(
+    config: ProtocolConfig, source: AgentDataSource
+) -> tuple[list[Datapoint], ScoreSplit, ConformalCalibration]:
+    """The source's local sample, its fit/calibration split, and the fitted score."""
+    local = source.local_sample()
+    if len(local) != config.n:
+        raise ConfigurationError(
+            f"source yielded {len(local)} local points but config.n={config.n}"
+        )
+    trainer = trainer_from_tag(config.score, config.k_nn)
+    return local, split_sample(local, config.ell), split_fit(local, config.ell, trainer)
 
 
 def run_procedure(
@@ -362,14 +363,7 @@ def run_procedure(
     validation data).  Source exhaustion mid-round raises ProtocolRunError
     carrying the partial report.
     """
-    local = source.local_sample()
-    if len(local) != config.n:
-        raise ConfigurationError(
-            f"source yielded {len(local)} local points but config.n={config.n}"
-        )
-    split = split_sample(local, config.ell)
-    trainer = trainer_from_tag(config.score, config.k_nn)
-    cal = split_fit(local, config.ell, trainer)
+    local, split, cal = _fit_local(config, source)
     spec = config.test_spec()
 
     report = ProtocolReport(
@@ -474,14 +468,7 @@ def budget_by_validation(
         raise ConfigurationError("budget_grid must be nonempty")
     if evaluator is None:
         evaluator = nearest_centroid_evaluator
-    local = source.local_sample()
-    if len(local) != config.n:
-        raise ConfigurationError(
-            f"source yielded {len(local)} local points but config.n={config.n}"
-        )
-    split = split_sample(local, config.ell)
-    trainer = trainer_from_tag(config.score, config.k_nn)
-    cal = split_fit(local, config.ell, trainer)
+    _, split, cal = _fit_local(config, source)
     round1 = {aid: source.batch(aid, 1) for aid in source.agent_ids()}
     assessments = assess_round1(cal, list(round1.values()), config.test_spec())
     order = [a.agent_id for a in _selection_order(assessments)]

@@ -11,14 +11,14 @@ exponentiated at the end, so batch sizes of a few hundred stay exact to
 double precision instead of overflowing naive factorials.
 
 Everything here is pure given its inputs; the only shared state is the
-Monte Carlo sample cache behind :func:`gsum_cdf`, which is lock-protected
-(pre-warm it single-threaded if you plan to hammer it from many threads).
+Monte Carlo sample cache behind :func:`gsum_cdf`, a plain per-process dict
+with no lock: the package runs no threads, and its study pool uses
+processes, each with a cache of its own.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 import zlib
 from dataclasses import dataclass
 from typing import Callable
@@ -28,17 +28,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gammainc, gammaln
 
 __all__ = [
-    "BinomParams",
     "GFunction",
     "NhgParams",
-    "binom_pmf_inliers",
     "binom_pmf_inliers_vector",
     "chi2_cdf",
     "fisher_variant_g",
     "gsum_cdf",
     "identity_g",
     "irwin_hall_cdf",
-    "log_binom_coef",
     "nhg_cdf",
     "nhg_cdf_rows",
     "nhg_cdf_table",
@@ -78,26 +75,6 @@ class NhgParams:
             raise ValueError(f"failures must lie in [0, {n - ks}], got {r}")
 
 
-@dataclass(frozen=True)
-class BinomParams:
-    """Inlier-count binomial for a batch of ``trials`` points.
-
-    The variate k counts inliers: mass C(m, k) (1-pi)^k pi^(m-k) where pi is
-    the contamination factor, so pi = 0 puts all mass at k = m.
-    """
-
-    trials: int
-    contamination: float
-
-    def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not 0.0 <= self.contamination <= 1.0:
-            raise ValueError(
-                f"contamination must lie in [0, 1], got {self.contamination}"
-            )
-
-
 def _log_comb(n, k):
     # no validation: callers guarantee 0 <= k <= n elementwise
     n = np.asarray(n, dtype=float)
@@ -105,17 +82,8 @@ def _log_comb(n, k):
     return gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
 
 
-def log_binom_coef(n: int, k: int) -> float:
-    """ln C(n, k) via log-gamma."""
-    if n < 0 or k < 0:
-        raise ValueError(f"arguments must be nonnegative, got n={n}, k={k}")
-    if k > n:
-        raise ValueError(f"k={k} exceeds n={n}")
-    return float(_log_comb(n, k))
-
-
 def binom_pmf_inliers_vector(trials: int, contamination: float) -> np.ndarray:
-    """PMF of the inlier-count binomial over k = 0..trials.
+    """PMF C(m, k) (1-pi)^k pi^(m-k) of the inlier count k = 0..m, m = trials, pi = contamination.
 
     Endpoints pi in {0, 1} are handled as exact point masses so the
     degenerate no-contamination / all-contamination batches carry weight
@@ -136,13 +104,6 @@ def binom_pmf_inliers_vector(trials: int, contamination: float) -> np.ndarray:
     k = np.arange(m + 1)
     logp = _log_comb(m, k) + k * math.log1p(-pi) + (m - k) * math.log(pi)
     return np.exp(logp)
-
-
-def binom_pmf_inliers(k: int, params: BinomParams) -> float:
-    """P(k inliers) = C(m, k) (1-pi)^k pi^(m-k)."""
-    if not 0 <= k <= params.trials:
-        raise ValueError(f"k must lie in [0, {params.trials}], got {k}")
-    return float(binom_pmf_inliers_vector(params.trials, params.contamination)[k])
 
 
 def nhg_cdf_rows(n: int, j: int, k, x_hi: int) -> np.ndarray:
@@ -292,7 +253,6 @@ def fisher_variant_g(n_cal: int) -> GFunction:
 
 
 _gsum_cache: dict[tuple, np.ndarray] = {}
-_gsum_lock = threading.Lock()
 
 
 def _probe_monotone(g: GFunction, grid_size: int = 257) -> None:
@@ -306,8 +266,7 @@ def _probe_monotone(g: GFunction, grid_size: int = 257) -> None:
 
 def _gsum_mc_sample(g: GFunction, k: int, mc_samples: int, mc_seed: int) -> np.ndarray:
     key = (g.name, k, mc_samples, mc_seed)
-    with _gsum_lock:
-        hit = _gsum_cache.get(key)
+    hit = _gsum_cache.get(key)
     if hit is not None:
         return hit
     _probe_monotone(g)
@@ -316,8 +275,8 @@ def _gsum_mc_sample(g: GFunction, k: int, mc_samples: int, mc_seed: int) -> np.n
     for _ in range(k):
         total += np.asarray(g(rng.uniform(size=mc_samples)), dtype=float)
     total.sort()
-    with _gsum_lock:
-        return _gsum_cache.setdefault(key, total)
+    _gsum_cache[key] = total
+    return total
 
 
 def gsum_cdf(

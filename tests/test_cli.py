@@ -375,6 +375,16 @@ class TestSimulateCommand:
         code, _ = run_cli(["simulate", "--config", str(bad)], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("mu1", [float("nan"), float("inf")])
+    def test_non_finite_mu1_is_config_error(self, capsys, tmp_path, mu1):
+        doc = json.load(open(DATA / "sim_fdr.json"))
+        doc["mu1"] = mu1
+        bad = tmp_path / "cfg.json"
+        bad.write_text(json.dumps(doc))
+        code, out = run_cli(["simulate", "--config", str(bad)], capsys)
+        assert code == 2
+        assert out == ""
+
 
 class TestProtocolCommand:
     def test_report_structure_and_selection(self, capsys):
@@ -425,3 +435,23 @@ class TestProtocolCommand:
     def test_missing_config_file_is_data_error(self, capsys):
         code, _ = run_cli(["protocol", "--config", "missing.json"], capsys)
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "pi",
+        [
+            {"rule": "split", "k0": -1, "pi0": 0.0, "pi1": 0.8},
+            {"rule": "split", "k0": 7, "pi0": 0.0, "pi1": 0.8},
+            {"rule": "split", "k0": 1.5, "pi0": 0.0, "pi1": 0.8},
+            {"rule": "fixed", "values": 0.5},
+            [0.1, 0.2, 0.3, 0.4],
+        ],
+    )
+    def test_bad_scenario_pi_is_config_error(self, capsys, tmp_path, pi):
+        doc = json.load(open(DATA / "protocol_budget.json"))
+        doc["scenario"]["k"] = 4
+        doc["scenario"]["pi"] = pi
+        bad = tmp_path / "cfg.json"
+        bad.write_text(json.dumps(doc))
+        code, out = run_cli(["protocol", "--config", str(bad)], capsys)
+        assert code == 2
+        assert out == ""

@@ -14,7 +14,6 @@ from confcontam.conformal import (
     knn_distance_trainer,
     negative_norm_trainer,
     read_datapoints_csv,
-    score_negative_norm,
     split_fit,
     split_sample,
 )
@@ -115,11 +114,6 @@ class TestConformalPvalues:
 
 
 class TestScores:
-    def test_negative_norm(self):
-        assert score_negative_norm(Datapoint(np.array([0.0, 0.0]))) == 0.0
-        assert score_negative_norm(Datapoint(np.array([3.0, 4.0]))) == -5.0
-        assert score_negative_norm(Datapoint(np.array([1.0, 1.0]))) == pytest.approx(-math.sqrt(2))
-
     def test_knn_distance(self):
         fitted = _points([[0.0], [10.0]])
         score1 = knn_distance_trainer(1)(fitted)

@@ -55,11 +55,6 @@ class TestStoreyStat:
         with pytest.raises(ConfigurationError):
             storey_stat([0.5], 0.37, 9)
 
-    def test_snap_to_grid(self):
-        # 0.37 * 10 = 3.7 snaps down to 3/10
-        assert storey_stat([0.35], 0.37, 9, snap=True) == 1
-        assert storey_stat([0.25], 0.37, 9, snap=True) == 0
-
 
 class TestStoreyPvalue:
     def test_t_equals_m_gives_one(self):

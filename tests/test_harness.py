@@ -1,5 +1,6 @@
 """Scenario generation, Monte Carlo studies, and two-sample baselines."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -74,6 +75,16 @@ class TestGenScenario:
         null_sample, batches, _ = gen_scenario(config, 0)
         # outliers and inliers share the law; nothing to assert beyond shape
         assert len(null_sample) == config.n and len(batches[0].points) == config.m
+
+    @pytest.mark.parametrize("mu1", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_mu1_rejected(self, mu1):
+        with pytest.raises(ConfigurationError):
+            _config(mu1=mu1)
+
+    @pytest.mark.parametrize("k0", [-1, 2])
+    def test_split_k0_out_of_range_rejected(self, k0):
+        with pytest.raises(ConfigurationError):
+            _config(pi_rule="split", k0=k0, pi0=0.1, pi1=0.5, pi_values=None)
 
     def test_null_mask_rules(self):
         config = _config(k=4, pi_rule="split", k0=2, pi0=0.1, pi1=0.5, pi_th=0.2)
@@ -288,6 +299,16 @@ class TestGaussianSource:
         assert not np.array_equal(r1, r2)
         assert len(r1) == len(r2) == 10
 
+    @pytest.mark.parametrize("mu1", [float("nan"), float("inf")])
+    def test_non_finite_mu1_rejected(self, mu1):
+        with pytest.raises(ConfigurationError):
+            GaussianSource(n=20, m=10, k=1, seed=8, mu1=mu1)
+
+    @pytest.mark.parametrize("k0", [-1, 3])
+    def test_split_k0_out_of_range_rejected(self, k0):
+        with pytest.raises(ConfigurationError):
+            GaussianSource(n=20, m=10, k=2, seed=8, pi_rule="split", k0=k0, pi0=0.0, pi1=0.5)
+
     def test_unknown_agent(self):
         src = GaussianSource(n=20, m=10, k=1, seed=8)
         with pytest.raises(ValueError):
@@ -297,3 +318,67 @@ class TestGaussianSource:
         src = GaussianSource(n=20, m=10, k=2, seed=8, labeled=True, pi_rule="fixed", pi_values=[0.5, 0.0])
         assert all(p.label in (0, 1) for p in src.local_sample())
         assert all(p.label in (0, 1) for p in src.batch("agent000", 1).points)
+
+
+def _digest(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def _point_arrays(points) -> list:
+    labels = [-1 if p.label is None else p.label for p in points]
+    return [stack_features(points), np.asarray(labels, dtype="<i8")]
+
+
+class TestStreamPins:
+    """Exact sampler outputs, pinned as sha256 of the feature and mask bytes.
+
+    Any change to how a stream is seeded or consumed (draw order, draw
+    sizes, which generator feeds which draw) changes these digests.
+    """
+
+    RULES = {
+        "fixed": dict(pi_rule="fixed", pi_values=(0.0, 0.4, 1.0)),
+        "split": dict(pi_rule="split", k0=1, pi0=0.1, pi1=0.7),
+        "uniform": dict(pi_rule="uniform"),
+    }
+
+    @pytest.mark.parametrize(
+        "count_rule, rule, expected",
+        [
+            ("per_batch", "fixed", "320784c865a87f70b83a0af9a6a07d9f80ce49e9b8e69dae1e956db10cc31f9a"),
+            ("per_batch", "split", "223d2a5a1c09bcec64c1395f43c1c38a4f9a603019c6181c2636e527ec9c5e5d"),
+            ("per_batch", "uniform", "5dc563a2aa795530271e28215163a18e7bbfb4fcf917a5e3dace98a67f9316ed"),
+            ("per_2m", "fixed", "452b407c45d79e1eddd3adf74f8344c8564ed675f526a306daabe0559dea8308"),
+            ("per_2m", "split", "a247b2c50ceaec30169dfad7ebe85859684d44eed8be9cc5c4789335fde791a5"),
+            ("per_2m", "uniform", "fdda8e3fb5f4e099a95364f4203e810190030dcc79866cc05d3ede5cd5306d78"),
+        ],
+    )
+    def test_gen_scenario(self, count_rule, rule, expected):
+        config = ScenarioConfig(
+            n=11, m=7, k=3, mu1=4.0, count_rule=count_rule, seed=13, **self.RULES[rule]
+        )
+        arrays = []
+        for idx in (0, 5):
+            null, batches, masks = gen_scenario(config, idx)
+            arrays.append(stack_features(null))
+            for batch, mask in zip(batches, masks):
+                arrays += [stack_features(batch.points), mask]
+        assert _digest(arrays) == expected
+
+    @pytest.mark.parametrize(
+        "labeled, expected",
+        [
+            (False, "d15d52d782f04df3d20234df4cda1df81350f9c3bfbe4b04524628537f24269a"),
+            (True, "6553b46603cbe6e782361584c7274664616585cb032ab52bbeeb4558e9b73248"),
+        ],
+    )
+    def test_gaussian_source(self, labeled, expected):
+        src = GaussianSource(n=9, m=6, k=3, seed=11, labeled=labeled)
+        arrays = [src.pis] + _point_arrays(src.local_sample())
+        for aid in src.agent_ids():
+            for rnd in (1, 2, 3):
+                arrays += _point_arrays(src.batch(aid, rnd).points)
+        assert _digest(arrays) == expected

@@ -1,7 +1,7 @@
 """Distribution layer: exact values, independent oracles, CDF sanity.
 
 Tolerance guide:
-  - log binomial coefficient vs big-integer factorials:  rel 1e-12
+  - binomial PMF vs big-integer rationals:               rel 1e-12
   - NHG CDF vs exact enumeration oracle:                 abs 1e-12
   - binomial PMF normalization:                          abs 1e-12
   - Irwin-Hall symmetry identity (k <= 30):              abs 1e-9
@@ -10,6 +10,7 @@ Tolerance guide:
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,46 +18,36 @@ import pytest
 from confcontam.harness import oracle_nhg_enumeration
 from confcontam.statdist import (
     GSUM_MC_SEED,
-    BinomParams,
     GFunction,
     NhgParams,
-    binom_pmf_inliers,
     binom_pmf_inliers_vector,
     chi2_cdf,
     fisher_variant_g,
     gsum_cdf,
     identity_g,
     irwin_hall_cdf,
-    log_binom_coef,
     nhg_cdf,
     nhg_cdf_table,
 )
 
 
-class TestLogBinomCoef:
-    def test_trivial_values(self):
-        assert log_binom_coef(5, 0) == 0.0
-        assert log_binom_coef(4, 2) == pytest.approx(math.log(6), rel=1e-12)
-
-    def test_against_big_integer_oracle(self):
-        for n in range(0, 61, 5):
-            for k in range(0, n + 1):
-                exact = math.log(math.comb(n, k)) if math.comb(n, k) > 1 else 0.0
-                assert log_binom_coef(n, k) == pytest.approx(exact, rel=1e-12, abs=1e-12)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            log_binom_coef(3, 4)
-        with pytest.raises(ValueError):
-            log_binom_coef(-1, 0)
-
-
 class TestBinomPmfInliers:
     def test_trivial_values(self):
-        assert binom_pmf_inliers(2, BinomParams(2, 0.0)) == 1.0
-        assert binom_pmf_inliers(1, BinomParams(2, 0.5)) == pytest.approx(0.5, abs=1e-15)
+        assert binom_pmf_inliers_vector(2, 0.0)[2] == 1.0
+        assert binom_pmf_inliers_vector(2, 0.5)[1] == pytest.approx(0.5, abs=1e-15)
         # C(3,2) * 0.9^2 * 0.1, by hand
-        assert binom_pmf_inliers(2, BinomParams(3, 0.1)) == pytest.approx(0.243, abs=1e-14)
+        assert binom_pmf_inliers_vector(3, 0.1)[2] == pytest.approx(0.243, abs=1e-14)
+
+    def test_against_big_integer_oracle(self):
+        # C(m, k) (1-pi)^k pi^(m-k) in exact rationals, pi taken as the
+        # binary fraction it is
+        for pi in (0.1, 0.5, 0.9):
+            q = Fraction(pi)
+            for m in range(1, 61, 5):
+                pmf = binom_pmf_inliers_vector(m, pi)
+                for k in range(m + 1):
+                    exact = math.comb(m, k) * (1 - q) ** k * q ** (m - k)
+                    assert pmf[k] == pytest.approx(float(exact), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("pi", [0.0, 0.1, 0.5, 0.9, 1.0])
     @pytest.mark.parametrize("m", [1, 7, 50, 500])
@@ -66,9 +57,11 @@ class TestBinomPmfInliers:
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            binom_pmf_inliers(3, BinomParams(2, 0.5))
+            binom_pmf_inliers_vector(0, 0.5)
         with pytest.raises(ValueError):
-            BinomParams(2, 1.5)
+            binom_pmf_inliers_vector(2, 1.5)
+        with pytest.raises(ValueError):
+            binom_pmf_inliers_vector(2, -0.1)
 
 
 class TestNhgCdf:
