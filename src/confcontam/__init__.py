@@ -41,11 +41,9 @@ from .harness import (
     McReport,
     ScenarioConfig,
     gen_scenario,
-    ks_two_sample,
     mc_fdr_tdr,
     mc_power,
     oracle_nhg_enumeration,
-    permutation_two_sample,
 )
 from .mht import MultipleTestOutcome, PValueVector, bh, storey_bh, storey_fdr_estimate
 from .protocol import (

@@ -27,38 +27,19 @@ from .conformal import (
 )
 from .contamtest import ContamTestSpec, run_contam_test
 from .errors import ConfigurationError, DataError, ProtocolRunError
-from .harness import GaussianSource, ScenarioConfig, mc_fdr_tdr, mc_power
+from .harness import GaussianSource, ScenarioConfig, mc_fdr_tdr, mc_power, resolve_pis
 from .protocol import (
     AgentAssessment,
     ProtocolConfig,
+    json_kwargs,
     run_procedure,
     select_fixed_budget,
     select_threshold,
     trainer_from_tag,
 )
 
-SIMULATE_KEYS = {
-    "study",
-    "family",
-    "procedure",
-    "n",
-    "ell",
-    "m",
-    "k",
-    "dim",
-    "mu1",
-    "pi",
-    "pi_th",
-    "alpha",
-    "gamma",
-    "lambda",
-    "i0",
-    "fisher_formula",
-    "replicates",
-    "seed",
-    "count_rule",
-    "score",
-}
+# ScenarioConfig and GaussianSource parameters read from a config's "pi" object
+PI_PARAMS = ("pi_rule", "pi_values", "k0", "pi0", "pi1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -237,67 +218,26 @@ def cmd_select(args) -> int:
     return 0
 
 
-def _pi_kwargs(pi) -> dict:
+def _pi_kwargs(pi, where: str) -> dict:
     """The pi-rule keywords of ScenarioConfig and GaussianSource from a pi object."""
-    if not isinstance(pi, dict) or "rule" not in pi:
-        raise ConfigurationError(f"pi must be an object {{rule: ...}}, got {pi!r}")
-    values = pi.get("values")
-    try:
-        values = None if values is None else tuple(float(v) for v in values)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"pi values must be a list of numbers, got {values!r}") from None
-    return {
-        "pi_rule": pi["rule"],
-        "pi_values": values,
-        "k0": pi.get("k0"),
-        "pi0": pi.get("pi0"),
-        "pi1": pi.get("pi1"),
-    }
-
-
-def _scenario_from_doc(doc: dict, args) -> tuple[ScenarioConfig, object, str, str]:
-    unknown = set(doc) - SIMULATE_KEYS
-    if unknown:
-        raise ConfigurationError(f"unknown simulate config keys: {sorted(unknown)}")
-    study = doc.get("study")
-    if study not in ("power", "fdr_tdr"):
-        raise ConfigurationError("simulate config needs study: 'power' or 'fdr_tdr'")
-    families = doc.get("family")
-    if families is None:
-        raise ConfigurationError("simulate config needs a family (string or list)")
-    config = ScenarioConfig(
-        n=doc["n"],
-        m=doc["m"],
-        k=doc.get("k", 1),
-        ell=doc.get("ell", 0),
-        dim=doc.get("dim", 2),
-        mu1=doc.get("mu1", 4.0),
-        pi_th=doc.get("pi_th", 0.0),
-        alpha=doc.get("alpha", 0.05),
-        gamma=doc.get("gamma", 0.5),
-        lam=doc.get("lambda"),
-        i0=doc.get("i0"),
-        fisher_formula=doc.get("fisher_formula", "derived"),
-        replicates=args.replicates
-        if args.replicates is not None
-        else doc.get("replicates", 1000),
-        seed=args.seed if args.seed is not None else doc.get("seed", 0),
-        count_rule=doc.get("count_rule", "per_batch"),
-        score=doc.get("score", "negnorm"),
-        **_pi_kwargs(doc.get("pi")),
-    )
-    return config, families, study, doc.get("procedure", "storey_bh")
+    return json_kwargs(resolve_pis, pi, f"{where} pi", skip=("k", "rng"))
 
 
 def cmd_simulate(args) -> int:
     doc = _load_json(args.config)
-    try:
-        config, families, study, procedure = _scenario_from_doc(doc, args)
-    except KeyError as exc:
-        raise ConfigurationError(f"simulate config missing key {exc}") from None
+    study, families, procedure = doc.get("study"), doc.get("family"), doc.get("procedure")
+    if study not in ("power", "fdr_tdr"):
+        raise ConfigurationError("simulate config needs study: 'power' or 'fdr_tdr'")
+    rest = {k: v for k, v in doc.items() if k not in ("study", "family", "procedure", "pi")}
+    kwargs = json_kwargs(ScenarioConfig, rest, "simulate config", skip=PI_PARAMS)
+    kwargs.update(_pi_kwargs(doc.get("pi"), "simulate config"))
+    overrides = {"replicates": args.replicates, "seed": args.seed}
+    kwargs.update({k: v for k, v in overrides.items() if v is not None})
+    config = ScenarioConfig(**kwargs)
     if study == "power":
         report = mc_power(config, families, threads=args.threads)
     else:
+        procedure = "storey_bh" if procedure is None else procedure
         report = mc_fdr_tdr(config, families, procedure=procedure, threads=args.threads)
     if args.per_replicate_csv:
         fields = sorted({k for row in report.rows for k in row})
@@ -311,19 +251,17 @@ def cmd_simulate(args) -> int:
 
 def cmd_protocol(args) -> int:
     doc = _load_json(args.config)
+    config = ProtocolConfig.from_json_dict(doc)
     scenario = doc.get("scenario", {})
     if not isinstance(scenario, dict):
         raise ConfigurationError("protocol config key 'scenario' must be an object")
-    config = ProtocolConfig.from_json_dict(doc)
-    source = GaussianSource(
-        n=config.n,
-        m=config.m,
-        k=scenario.get("k", 10),
-        seed=config.seed,
-        dim=scenario.get("dim", 2),
-        mu1=scenario.get("mu1", 4.0),
-        **_pi_kwargs(scenario.get("pi", {"rule": "uniform"})),
-    )
+    # n, m and seed come from the protocol config; k defaults to 10 agents
+    rest = {"k": 10, **{k: v for k, v in scenario.items() if k != "pi" and v is not None}}
+    skip = ("n", "m", "seed", "labeled", "class_shift") + PI_PARAMS
+    kwargs = json_kwargs(GaussianSource, rest, "protocol scenario", skip=skip)
+    if scenario.get("pi") is not None:
+        kwargs.update(_pi_kwargs(scenario["pi"], "protocol scenario"))
+    source = GaussianSource(n=config.n, m=config.m, seed=config.seed, **kwargs)
     report = run_procedure(config, source)
     _emit(report.to_json_dict())
     return 0

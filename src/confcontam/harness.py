@@ -1,4 +1,4 @@
-"""Gaussian simulation scenarios, Monte Carlo studies, and baselines.
+"""Gaussian simulation scenarios and Monte Carlo studies.
 
 Inliers are N(0, I_dim), outliers N(mu1 * 1, I_dim); an agent batch mixes
 the two with a binomial outlier count driven by its contamination factor.
@@ -6,8 +6,7 @@ Replicate r of a study draws everything from an RNG stream seeded by
 (seed, r), so parallel and serial execution aggregate identically and any
 single replicate can be regenerated in isolation.
 
-Also here: the classical two-sample baselines (Kolmogorov-Smirnov and
-permutation tests), the exact enumeration oracle validating the negative
+Also here: the exact enumeration oracle validating the negative
 hypergeometric numerics, and the deterministic Gaussian agent-data source
 that backs protocol runs.
 """
@@ -22,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,15 +37,11 @@ __all__ = [
     "McReport",
     "ScenarioConfig",
     "gen_scenario",
-    "ks_statistic",
-    "ks_two_sample",
-    "l2_ecdf_statistic",
     "mc_fdr_tdr",
     "mc_power",
     "null_agent_mask",
     "oracle_nhg_enumeration",
     "outlier_mask",
-    "permutation_two_sample",
     "resolve_pis",
 ]
 
@@ -86,6 +81,16 @@ def resolve_pis(
     if rng is None:
         raise ConfigurationError("pi_rule='uniform' has no static factors without an rng")
     return rng.uniform(size=k)
+
+
+def _check_scenario(m: int, k: int, dim: int, seed: int, mu1: float) -> None:
+    """The value checks that ScenarioConfig and GaussianSource share."""
+    if m < 1 or k < 1 or dim < 1:
+        raise ConfigurationError(f"m, k, dim must all be >= 1, got m={m}, k={k}, dim={dim}")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
+    if not math.isfinite(mu1):
+        raise ConfigurationError(f"mu1 must be finite, got {mu1}")
 
 
 def outlier_mask(rng: np.random.Generator, size: int, pi: float) -> np.ndarray:
@@ -132,16 +137,11 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.ell < 0 or self.n <= self.ell:
             raise ConfigurationError(f"need 0 <= ell < n, got ell={self.ell}, n={self.n}")
-        if self.m < 1 or self.k < 1 or self.dim < 1:
-            raise ConfigurationError("m, k, dim must all be >= 1")
+        _check_scenario(self.m, self.k, self.dim, self.seed, self.mu1)
         if self.replicates < 1:
             raise ConfigurationError(f"replicates must be >= 1, got {self.replicates}")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.count_rule not in ("per_batch", "per_2m"):
             raise ConfigurationError(f"unknown count_rule {self.count_rule!r}")
-        if not math.isfinite(self.mu1):
-            raise ConfigurationError(f"mu1 must be finite, got {self.mu1}")
         self.resolve_pis(np.random.default_rng(0))  # raises on an invalid pi rule
 
     @property
@@ -224,13 +224,13 @@ def _binom_se(p_hat: float, r: int) -> float:
 
 
 def _as_families(families) -> tuple[str, ...]:
-    fams = (families,) if isinstance(families, str) else tuple(families)
+    fams = (families,) if isinstance(families, str) else families
+    if not isinstance(fams, (list, tuple)) or not fams:
+        raise ConfigurationError(f"family must be a name or a nonempty list, got {families!r}")
     for f in fams:
         if f not in TEST_FAMILIES:
             raise ConfigurationError(f"unknown family {f!r}; expected {TEST_FAMILIES}")
-    if not fams:
-        raise ConfigurationError("need at least one family")
-    return fams
+    return tuple(fams)
 
 
 def _power_replicate(config: ScenarioConfig, families, idx: int) -> list[dict]:
@@ -293,12 +293,15 @@ def _chunk(replicate, static_args: tuple, start: int, stop: int) -> list[dict]:
 
 def _run_chunked(replicate, static_args: tuple, replicates: int, threads: int) -> list[dict]:
     """Rows of ``replicate(*static_args, idx)`` for idx = 0..replicates-1, in order."""
-    if threads <= 1:
+    if threads < 1:
+        raise ConfigurationError(f"threads must be >= 1, got {threads}")
+    workers = min(threads, replicates)  # a forking pool starts every worker up front
+    if workers == 1:
         return _chunk(replicate, static_args, 0, replicates)
-    bounds = np.linspace(0, replicates, threads + 1).astype(int).tolist()
+    bounds = np.linspace(0, replicates, workers + 1).astype(int).tolist()
     worker = partial(_chunk, replicate, static_args)
     rows: list[dict] = []
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         for part in pool.map(worker, bounds[:-1], bounds[1:]):
             rows.extend(part)
     return rows
@@ -361,71 +364,6 @@ def mc_fdr_tdr(
         runtime_seconds=time.perf_counter() - start,
         rows=rows,
     )
-
-
-# -- two-sample baselines ---------------------------------------------------
-
-
-def _ecdf_on(sample: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    return np.searchsorted(np.sort(sample), grid, side="right") / sample.size
-
-
-def ks_two_sample(sample_a, sample_b) -> tuple[float, float]:
-    """KS statistic sup|F_a - F_b| and its asymptotic p-value.
-
-    The p-value inverts the threshold sqrt(-ln(alpha/2) (n+m)/(2nm)):
-    p = min(1, 2 exp(-2nm D^2 / (n+m))).
-    """
-    a = np.asarray(sample_a, dtype=float)
-    b = np.asarray(sample_b, dtype=float)
-    if a.size == 0 or b.size == 0:
-        raise ValueError("both samples must be nonempty")
-    grid = np.sort(np.concatenate([a, b]))
-    stat = float(np.max(np.abs(_ecdf_on(a, grid) - _ecdf_on(b, grid))))
-    p = min(1.0, 2.0 * math.exp(-2.0 * a.size * b.size * stat**2 / (a.size + b.size)))
-    return stat, p
-
-
-def ks_statistic(sample_a, sample_b) -> float:
-    return ks_two_sample(sample_a, sample_b)[0]
-
-
-def l2_ecdf_statistic(sample_a, sample_b) -> float:
-    """L2 norm of the ECDF difference over the pooled sample."""
-    a = np.asarray(sample_a, dtype=float)
-    b = np.asarray(sample_b, dtype=float)
-    if a.size == 0 or b.size == 0:
-        raise ValueError("both samples must be nonempty")
-    grid = np.sort(np.concatenate([a, b]))
-    diff = _ecdf_on(a, grid) - _ecdf_on(b, grid)
-    return float(math.sqrt(np.mean(diff * diff)))
-
-
-def permutation_two_sample(
-    sample_a,
-    sample_b,
-    statistic: Callable[[np.ndarray, np.ndarray], float] = ks_statistic,
-    n_perm: int = 500,
-    seed: int = 0,
-) -> float:
-    """Permutation p-value p = (1 + #{T_i >= T_obs}) / (n_perm + 1).
-
-    The add-one form keeps the p-value valid at any finite number of
-    permutations; seeded, hence deterministic.
-    """
-    if n_perm < 1:
-        raise ConfigurationError(f"n_perm must be >= 1, got {n_perm}")
-    a = np.asarray(sample_a, dtype=float)
-    b = np.asarray(sample_b, dtype=float)
-    t_obs = statistic(a, b)
-    pool = np.concatenate([a, b])
-    rng = np.random.default_rng(seed)
-    count = 0
-    for _ in range(n_perm):
-        perm = rng.permutation(pool.size)
-        if statistic(pool[perm[: a.size]], pool[perm[a.size :]]) >= t_obs:
-            count += 1
-    return (1 + count) / (n_perm + 1)
 
 
 # -- validation oracle ------------------------------------------------------
@@ -493,10 +431,7 @@ class GaussianSource:
         labeled: bool = False,
         class_shift: float = 3.0,
     ) -> None:
-        if seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {seed}")
-        if not math.isfinite(mu1):
-            raise ConfigurationError(f"mu1 must be finite, got {mu1}")
+        _check_scenario(m, k, dim, seed, mu1)
         self.n, self.m, self.k = n, m, k
         self.seed, self.dim, self.mu1 = seed, dim, mu1
         self.labeled, self.class_shift = labeled, class_shift

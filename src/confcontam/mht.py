@@ -60,7 +60,6 @@ class MultipleTestOutcome:
     rejected: frozenset[str]
     kappa: int
     k0_hat: float | None = None
-    fdr_estimate: float | None = None
 
 
 def _threshold_reject(p: PValueVector, thresholds: np.ndarray) -> tuple[frozenset, int]:

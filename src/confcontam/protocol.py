@@ -15,8 +15,11 @@ in the simulation harness.
 
 from __future__ import annotations
 
+import functools
+import inspect
+import sys
 from dataclasses import dataclass, field
-from typing import Any, Callable, Protocol, Sequence
+from typing import Any, Callable, Protocol, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -45,6 +48,7 @@ __all__ = [
     "SelectionDecision",
     "assess_round1",
     "budget_by_validation",
+    "json_kwargs",
     "nearest_centroid_evaluator",
     "run_procedure",
     "select_fixed_budget",
@@ -81,7 +85,6 @@ class AgentAssessment:
     agent_id: str
     statistic: float | None = None
     p_value: float | None = None
-    conformal_pvalues: np.ndarray | None = None
     error: str | None = None
 
     @property
@@ -146,7 +149,6 @@ def assess_round1(
                 agent_id=batch.agent_id,
                 statistic=result.statistic,
                 p_value=result.p_value,
-                conformal_pvalues=pv,
             )
         )
     return out
@@ -280,18 +282,77 @@ class ProtocolConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ProtocolConfig":
-        extras = {"lambda": "lam", "i0": "i0", "k_nn": "k_nn"}
-        unknown = set(doc) - set(PROTOCOL_CONFIG_FIELDS) - set(extras) - {"scenario"}
-        if unknown:
-            raise ConfigurationError(f"unknown protocol config keys: {sorted(unknown)}")
+        """The config of a protocol document; its ``scenario`` object is left to the caller."""
         missing = [k for k in PROTOCOL_CONFIG_FIELDS if k not in doc]
         if missing:
             raise ConfigurationError(f"missing protocol config keys: {missing}")
-        kwargs = {k: doc[k] for k in PROTOCOL_CONFIG_FIELDS}
-        for json_key, attr in extras.items():
-            if doc.get(json_key) is not None:
-                kwargs[attr] = doc[json_key]
-        return cls(**kwargs)
+        doc = {k: v for k, v in doc.items() if k != "scenario"}
+        return cls(**json_kwargs(cls, doc, "protocol config"))
+
+
+# JSON spellings of parameter names: ``lambda`` is a Python keyword, and the
+# pi-rule parameters sit inside a ``pi`` object that names them shortly.
+_JSON_NAMES = {"lam": "lambda", "pi_rule": "rule", "pi_values": "values"}
+_JSON_TYPES = {int: "an integer", float: "a finite number", str: "a string"}
+
+
+@functools.cache  # get_type_hints takes ~0.2 ms, 20x reading a whole config
+def _json_params(target) -> tuple[tuple[str, str, type, bool, bool], ...]:
+    """(name, JSON key, scalar type, is a list, required) per parameter of target."""
+    hints = get_type_hints(target.__init__ if isinstance(target, type) else target)
+    params = []
+    for p in inspect.signature(target).parameters.values():
+        hint = hints[p.name]
+        if type(None) in get_args(hint):  # X | None
+            hint = get_args(hint)[0]
+        is_list = get_origin(hint) is not None  # tuple[float, ...] or Sequence[float]
+        kind = get_args(hint)[0] if is_list else hint
+        key = _JSON_NAMES.get(p.name, p.name)
+        params.append((p.name, key, kind, is_list, p.default is inspect.Parameter.empty))
+    return tuple(params)
+
+
+def _is_json(value, kind: type) -> bool:
+    if isinstance(value, bool):  # a JSON bool is never a number
+        return False
+    if kind is float:  # finite and within float range; False for nan
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, kind)
+
+
+def json_kwargs(target: Callable, doc, where: str, skip: Sequence[str] = ()) -> dict:
+    """Keyword arguments of ``target`` read from the JSON object ``doc``.
+
+    The signature owns the keys, defaults and types: each parameter not in
+    ``skip`` is read from the key of its name (spelled as in _JSON_NAMES).
+    A missing or null key leaves it at its default; one without a default
+    is required.  int takes a JSON integer, float a finite number, str a
+    string, a tuple or sequence a list of those; a bool is never a number.
+    Values pass through unconverted; a violation raises ConfigurationError.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"{where} must be a JSON object, got {doc!r}")
+    params = [p for p in _json_params(target) if p[0] not in skip]
+    unknown = set(doc) - {key for _, key, *_ in params}
+    if unknown:
+        raise ConfigurationError(f"unknown {where} keys: {sorted(unknown)}")
+    kwargs = {}
+    for name, key, kind, is_list, required in params:
+        value = doc.get(key)
+        if value is None:
+            if required:
+                raise ConfigurationError(f"{where} needs a non-null {key!r}")
+        elif is_list:
+            if not (isinstance(value, list) and all(_is_json(v, kind) for v in value)):
+                raise ConfigurationError(
+                    f"{where} {key!r} must be a list, each {_JSON_TYPES[kind]}; got {value!r}"
+                )
+            kwargs[name] = tuple(value)
+        elif _is_json(value, kind):
+            kwargs[name] = value
+        else:
+            raise ConfigurationError(f"{where} {key!r} must be {_JSON_TYPES[kind]}, got {value!r}")
+    return kwargs
 
 
 @dataclass

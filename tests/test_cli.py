@@ -3,11 +3,13 @@
 import csv
 import io
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from confcontam import harness
 from confcontam.cli import main
 from confcontam.conformal import (
     conformal_pvalues,
@@ -375,6 +377,44 @@ class TestSimulateCommand:
         code, _ = run_cli(["simulate", "--config", str(bad)], capsys)
         assert code == 2
 
+    def test_pool_has_at_most_one_worker_per_replicate(self, capsys, monkeypatch):
+        sizes = []
+
+        class InlinePool:  # records the pool size, runs the chunks in this process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        argv = ["simulate", "--config", str(DATA / "sim_power.json"), "--replicates", "3"]
+        code, out = run_cli(argv + ["--threads", "5000"], capsys)
+        assert code == 0
+        assert sizes == [3]
+        _, serial = run_cli(argv, capsys)
+        assert json.loads(out)["estimates"] == json.loads(serial)["estimates"]
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_is_config_error(self, capsys, threads):
+        code, out = run_cli(
+            [
+                "simulate",
+                "--config", str(DATA / "sim_power.json"),
+                "--replicates", "3",
+                "--threads", threads,
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+
     @pytest.mark.parametrize("mu1", [float("nan"), float("inf")])
     def test_non_finite_mu1_is_config_error(self, capsys, tmp_path, mu1):
         doc = json.load(open(DATA / "sim_fdr.json"))
@@ -455,3 +495,60 @@ class TestProtocolCommand:
         code, out = run_cli(["protocol", "--config", str(bad)], capsys)
         assert code == 2
         assert out == ""
+
+
+
+def _probe_cases():
+    """(config file, dotted key path, bad value) of every config probe."""
+    sim, proto, power = "sim_fdr.json", "protocol_budget.json", "sim_power.json"
+    cases = []
+    for cfg, keys in [
+        (sim, ["n", "m", "k", "ell", "dim", "seed", "i0"]),
+        (proto, ["n", "m", "ell", "seed", "rounds", "k_budget", "i0", "k_nn",
+                 "scenario.k", "scenario.dim"]),
+    ]:
+        cases += [(cfg, key, bad) for key in keys for bad in ["5", 5.0, True]]
+    for cfg, mu1 in [(sim, "mu1"), (proto, "scenario.mu1")]:
+        cases += [(cfg, key, "0.1") for key in ["alpha", "pi_th", mu1, "lambda"]]
+    cases += [
+        (sim, "family", 3),
+        (sim, "pi.typo", 1),
+        (proto, "scenario.pi.typo", 1),
+        (proto, "scenario.typo", 1),
+        (proto, "scenario.dim", 0),
+        (proto, "scenario.k", 0),
+        (power, "pi.values", [float("nan")]),
+        (sim, "pi.pi0", float("nan")),
+        (sim, "pi.pi1", float("inf")),
+        (sim, "alpha", 10**400),
+    ]
+    cases += [
+        (sim, key, bad)
+        for key in ["alpha", "gamma", "lambda", "pi_th"]
+        for bad in [float("nan"), float("inf")]
+    ]
+    return [
+        pytest.param(cfg, path, bad, id=f"{cfg.split('.')[0]}:{path}={bad!r:.20}")
+        for cfg, path, bad in cases
+    ]
+
+
+@pytest.mark.parametrize("cfg,path,bad", _probe_cases())
+def test_config_probe_is_config_error(capsys, tmp_path, cfg, path, bad):
+    doc = json.load(open(DATA / cfg))
+    *outer, key = path.split(".")
+    node = doc
+    for part in outer:
+        node = node[part]
+    node[key] = bad
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(doc))
+    if cfg.startswith("protocol"):
+        argv = ["protocol", "--config", str(config)]
+    else:
+        argv = ["simulate", "--config", str(config), "--replicates", "3"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert re.search(rf"\b{key}\b", captured.err)

@@ -1,4 +1,4 @@
-"""Scenario generation, Monte Carlo studies, and two-sample baselines."""
+"""Scenario generation, Monte Carlo studies, the enumeration oracle and the data source."""
 
 import hashlib
 import math
@@ -12,14 +12,10 @@ from confcontam.harness import (
     GaussianSource,
     ScenarioConfig,
     gen_scenario,
-    ks_statistic,
-    ks_two_sample,
-    l2_ecdf_statistic,
     mc_fdr_tdr,
     mc_power,
     null_agent_mask,
     oracle_nhg_enumeration,
-    permutation_two_sample,
 )
 from confcontam.statdist import NhgParams
 
@@ -201,66 +197,6 @@ class TestInlierPvalueLaw:
             assert abs(empirical - t / n_grid) <= band
 
 
-class TestKsTwoSample:
-    def test_trivial_statistics(self):
-        assert ks_two_sample([1, 2, 3], [1, 2, 3])[0] == 0.0
-        assert ks_two_sample([0, 1], [5, 6])[0] == 1.0
-
-    def test_hand_derived_statistic(self):
-        stat, _ = ks_two_sample([1, 2], [1, 3])
-        assert stat == pytest.approx(0.5)
-
-    def test_pvalue_form(self):
-        stat, p = ks_two_sample([1, 2, 4, 8], [1.5, 3, 9, 12])
-        n = m = 4
-        assert p == pytest.approx(min(1.0, 2 * math.exp(-2 * n * m * stat**2 / (n + m))))
-
-    def test_empty_sample(self):
-        with pytest.raises(ValueError):
-            ks_two_sample([], [1.0])
-
-
-class TestPermutationTwoSample:
-    def test_constant_statistic(self):
-        p = permutation_two_sample([1, 2], [3, 4], statistic=lambda a, b: 1.0, n_perm=99)
-        assert p == 1.0
-
-    def test_observed_above_all(self):
-        # statistic = mean(a); with 20+20 points no random permutation
-        # reassembles the separated split, so T_obs stays strictly largest
-        rng = np.random.default_rng(2)
-        a = rng.normal(loc=100.0, size=20)
-        b = rng.normal(loc=0.0, size=20)
-        p = permutation_two_sample(
-            a, b, statistic=lambda x, y: float(np.mean(x)), n_perm=200, seed=4
-        )
-        assert p == pytest.approx(1 / 201)
-
-    def test_deterministic_under_seed(self):
-        rng = np.random.default_rng(0)
-        a, b = rng.normal(size=30), rng.normal(size=30)
-        p1 = permutation_two_sample(a, b, ks_statistic, n_perm=150, seed=9)
-        p2 = permutation_two_sample(a, b, ks_statistic, n_perm=150, seed=9)
-        assert p1 == p2
-
-    def test_exchangeable_samples_p_not_extreme(self):
-        rng = np.random.default_rng(1)
-        ps = []
-        for seed in range(20):
-            x = rng.normal(size=25)
-            y = rng.normal(size=25)
-            ps.append(permutation_two_sample(x, y, ks_statistic, n_perm=99, seed=seed))
-        assert 0.2 <= float(np.mean(ps)) <= 0.8
-
-    def test_l2_statistic_available(self):
-        assert l2_ecdf_statistic([1, 2], [1, 2]) == 0.0
-        assert l2_ecdf_statistic([0, 1], [5, 6]) > 0.5
-
-    def test_bad_n_perm(self):
-        with pytest.raises(ConfigurationError):
-            permutation_two_sample([1], [2], n_perm=0)
-
-
 class TestOracleNhgEnumeration:
     def test_uniform_case(self):
         cdf = oracle_nhg_enumeration(NhgParams(5, 4, 1))
@@ -308,6 +244,14 @@ class TestGaussianSource:
     def test_split_k0_out_of_range_rejected(self, k0):
         with pytest.raises(ConfigurationError):
             GaussianSource(n=20, m=10, k=2, seed=8, pi_rule="split", k0=k0, pi0=0.0, pi1=0.5)
+
+    @pytest.mark.parametrize("bad", [{"m": 0}, {"k": 0}, {"dim": 0}, {"seed": -1}])
+    def test_scenario_values_checked_like_scenario_config(self, bad):
+        args = {"n": 20, "m": 10, "k": 2, "seed": 8, **bad}
+        with pytest.raises(ConfigurationError):
+            GaussianSource(**args)
+        with pytest.raises(ConfigurationError):
+            ScenarioConfig(**args, pi_rule="fixed", pi_values=(0.1,) * args["k"])
 
     def test_unknown_agent(self):
         src = GaussianSource(n=20, m=10, k=1, seed=8)

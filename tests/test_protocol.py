@@ -289,6 +289,13 @@ class TestProtocolConfig:
         with pytest.raises(ConfigurationError):
             ProtocolConfig.from_json_dict(doc2)
 
+    def test_null_is_default_and_values_pass_through(self):
+        doc = _budget_config().to_json_dict()
+        doc.update(rounds=None, seed=None, pi_th=0, k_nn=None)
+        config = ProtocolConfig.from_json_dict(doc)
+        assert (config.rounds, config.seed, config.k_nn) == (2, 0, 5)
+        assert json.dumps(config.to_json_dict()["pi_th"]) == "0"
+
     def test_mode_requirements(self):
         with pytest.raises(ConfigurationError):
             _budget_config(k_budget=None)
