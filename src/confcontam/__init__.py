@@ -30,6 +30,7 @@ from .contamtest import (
     quantile_pvalue,
     quantile_stat,
     run_contam_test,
+    run_contam_tests,
     storey_pvalue,
     storey_stat,
     sum_pvalue,
@@ -40,6 +41,7 @@ from .harness import (
     GaussianSource,
     McReport,
     ScenarioConfig,
+    draw_scenario,
     gen_scenario,
     mc_fdr_tdr,
     mc_power,

@@ -228,6 +228,10 @@ def cmd_simulate(args) -> int:
     study, families, procedure = doc.get("study"), doc.get("family"), doc.get("procedure")
     if study not in ("power", "fdr_tdr"):
         raise ConfigurationError("simulate config needs study: 'power' or 'fdr_tdr'")
+    if procedure not in (None, "bh", "storey_bh"):
+        raise ConfigurationError(
+            f"simulate config 'procedure' must be 'bh' or 'storey_bh', got {procedure!r}"
+        )
     rest = {k: v for k, v in doc.items() if k not in ("study", "family", "procedure", "pi")}
     kwargs = json_kwargs(ScenarioConfig, rest, "simulate config", skip=PI_PARAMS)
     kwargs.update(_pi_kwargs(doc.get("pi"), "simulate config"))

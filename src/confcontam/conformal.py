@@ -47,26 +47,36 @@ class Datapoint:
     label: int | None = None
 
 
-# A fitted score maps a batch of datapoints to one score per point;
-# a trainer builds one from the fit split (which it may ignore).
-ScoreFn = Callable[[Sequence[Datapoint]], np.ndarray]
-ScoreTrainer = Callable[[Sequence[Datapoint]], ScoreFn]
+# feature differences the kNN score materializes at once (8 MB of floats)
+KNN_BLOCK = 2**20
+
+# Points are a sequence of datapoints or an unlabeled (rows, d) float
+# feature matrix.  A fitted score maps points to one score per row; a
+# trainer builds one from the fit split (which it may ignore).
+Points = Sequence[Datapoint] | np.ndarray
+ScoreFn = Callable[[Points], np.ndarray]
+ScoreTrainer = Callable[[Points], ScoreFn]
 
 
-def stack_features(points: Sequence[Datapoint]) -> np.ndarray:
-    """Feature matrix (len(points), d); dimensions must agree."""
+def stack_features(points: Points) -> np.ndarray:
+    """Feature matrix (len(points), d); dimensions must agree.
+
+    A feature matrix is returned as it is.
+    """
+    if isinstance(points, np.ndarray):
+        return points
     if len(points) == 0:
         return np.empty((0, 0))
     mat = np.stack([np.asarray(p.features, dtype=float).ravel() for p in points])
     return mat
 
 
-def _negative_norm_batch(points: Sequence[Datapoint]) -> np.ndarray:
+def _negative_norm_batch(points: Points) -> np.ndarray:
     mat = stack_features(points)
     return -np.linalg.norm(mat, axis=1)
 
 
-def negative_norm_trainer(fit_points: Sequence[Datapoint]) -> ScoreFn:
+def negative_norm_trainer(fit_points: Points) -> ScoreFn:
     return _negative_norm_batch
 
 
@@ -79,21 +89,26 @@ def knn_distance_trainer(k_nn: int) -> ScoreTrainer:
     if k_nn < 1:
         raise ConfigurationError(f"k_nn must be >= 1, got {k_nn}")
 
-    def train(fit_points: Sequence[Datapoint]) -> ScoreFn:
+    def train(fit_points: Points) -> ScoreFn:
         if len(fit_points) < k_nn:
             raise ConfigurationError(
                 f"kNN score needs at least k_nn={k_nn} fit points, got {len(fit_points)}"
             )
         fitted = stack_features(fit_points)
 
-        def score(points: Sequence[Datapoint]) -> np.ndarray:
+        def score(points: Points) -> np.ndarray:
             queries = stack_features(points)
             if len(points) == 0:
                 return np.empty(0)
-            # (q, f) pairwise distances; brute force is fine at fit sizes here
-            diffs = queries[:, None, :] - fitted[None, :, :]
-            dists = np.sqrt(np.sum(diffs * diffs, axis=2))
-            kth = np.partition(dists, k_nn - 1, axis=1)[:, k_nn - 1]
+            # brute-force (q, f) distances, fine at fit sizes here, a block of
+            # queries at a time: scoring a whole study replicate at once then
+            # holds no more than KNN_BLOCK differences
+            step = max(1, KNN_BLOCK // fitted.size)
+            kth = np.empty(len(queries))
+            for start in range(0, len(queries), step):
+                diffs = queries[start : start + step, None, :] - fitted[None, :, :]
+                dists = np.sqrt(np.sum(diffs * diffs, axis=2))
+                kth[start : start + step] = np.partition(dists, k_nn - 1, axis=1)[:, k_nn - 1]
             return -kth
 
         return score
@@ -104,24 +119,27 @@ def knn_distance_trainer(k_nn: int) -> ScoreTrainer:
 def classwise_trainer(base_trainer: ScoreTrainer) -> ScoreTrainer:
     """Fit one sub-score per label present in the fit split.
 
-    Each point is scored by the sub-score of its own class; a label unseen
-    at fit time is an out-of-vocabulary error.
+    Each point is scored by the sub-score of its own class, one call per
+    class; a label unseen at fit time is an out-of-vocabulary error.
     """
 
     def train(fit_points: Sequence[Datapoint]) -> ScoreFn:
         by_class: dict[int, list[Datapoint]] = {}
         for p in fit_points:
-            if p.label is None:
+            if getattr(p, "label", None) is None:
                 raise ConfigurationError("classwise score requires labeled fit points")
             by_class.setdefault(p.label, []).append(p)
         sub_scores = {lab: base_trainer(pts) for lab, pts in by_class.items()}
 
         def score(points: Sequence[Datapoint]) -> np.ndarray:
-            out = np.empty(len(points))
+            rows: dict[int | None, list[int]] = {}
             for i, p in enumerate(points):
-                if p.label not in sub_scores:
-                    raise ValueError(f"unseen class label {p.label!r}")
-                out[i] = sub_scores[p.label]([p])[0]
+                rows.setdefault(p.label, []).append(i)
+            out = np.empty(len(points))
+            for label, idx in rows.items():  # first-seen order: the first unseen label raises
+                if label not in sub_scores:
+                    raise ValueError(f"unseen class label {label!r}")
+                out[idx] = sub_scores[label]([points[i] for i in idx])
             return out
 
         return score
@@ -133,11 +151,12 @@ def classwise_trainer(base_trainer: ScoreTrainer) -> ScoreTrainer:
 class ScoreSplit:
     """The null sample split into a fit part (ell) and calibration part (n-ell)."""
 
-    fit_part: list[Datapoint]
-    calibration_part: list[Datapoint]
+    fit_part: Points
+    calibration_part: Points
 
 
-def split_sample(null_sample: Sequence[Datapoint], ell: int) -> ScoreSplit:
+def split_sample(null_sample: Points, ell: int) -> ScoreSplit:
+    """The first ell points and the rest: lists for datapoints, views for a matrix."""
     n = len(null_sample)
     if ell < 0:
         raise ConfigurationError(f"ell must be >= 0, got {ell}")
@@ -145,6 +164,8 @@ def split_sample(null_sample: Sequence[Datapoint], ell: int) -> ScoreSplit:
         raise ConfigurationError(
             f"ell={ell} leaves an empty calibration set (null sample has {n} points)"
         )
+    if isinstance(null_sample, np.ndarray):
+        return ScoreSplit(null_sample[:ell], null_sample[ell:])
     return ScoreSplit(list(null_sample[:ell]), list(null_sample[ell:]))
 
 
@@ -165,9 +186,7 @@ class ConformalCalibration:
         return int(self.cal_scores.size)
 
 
-def split_fit(
-    null_sample: Sequence[Datapoint], ell: int, trainer: ScoreTrainer
-) -> ConformalCalibration:
+def split_fit(null_sample: Points, ell: int, trainer: ScoreTrainer) -> ConformalCalibration:
     """Fit the score on the first ell points, score the remaining n-ell.
 
     Calibration scores keep the order of the calibration part.
@@ -193,9 +212,7 @@ def conformal_pvalues_from_scores(cal_scores, test_scores) -> np.ndarray:
     return (1.0 + counts) / (cal.size + 1.0)
 
 
-def conformal_pvalues(
-    cal: ConformalCalibration, test_points: Sequence[Datapoint]
-) -> np.ndarray:
+def conformal_pvalues(cal: ConformalCalibration, test_points: Points) -> np.ndarray:
     """One conformal p-value per test point; empty input gives empty output."""
     return conformal_pvalues_from_scores(cal.cal_scores, cal.score(test_points))
 

@@ -31,7 +31,6 @@ superuniform one that also rejects under heavy contamination.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -61,7 +60,9 @@ __all__ = [
     "generic_g_pvalue",
     "quantile_pvalue",
     "quantile_stat",
+    "resolve_spec",
     "run_contam_test",
+    "run_contam_tests",
     "storey_pvalue",
     "storey_stat",
     "sum_pvalue",
@@ -134,11 +135,18 @@ def lambda_grid_index(lam: float, n_cal: int) -> int:
     return r
 
 
+def _one_row(pvalues) -> np.ndarray:
+    return np.asarray(pvalues, dtype=float).reshape(1, -1)
+
+
+def _storey_stats(p: np.ndarray, lam: float, n_cal: int) -> np.ndarray:
+    lam_grid = lambda_grid_index(lam, n_cal) / (n_cal + 1)
+    return np.sum(p > lam_grid, axis=1)
+
+
 def storey_stat(pvalues, lam: float, n_cal: int) -> int:
     """Count of conformal p-values strictly above lambda."""
-    r = lambda_grid_index(lam, n_cal)
-    lam_grid = r / (n_cal + 1)
-    return int(np.sum(np.asarray(pvalues, dtype=float) > lam_grid))
+    return int(_storey_stats(_one_row(pvalues), lam, n_cal)[0])
 
 
 def _mixture(b: np.ndarray, n_cal: int, j: int, x_hi: int) -> np.ndarray:
@@ -166,19 +174,28 @@ def storey_pvalue(T: int, m: int, n_cal: int, spec: ContamTestSpec) -> float:
     return float(_storey_table(m, n_cal, lam_index, spec.pi_th)[T])
 
 
-def quantile_stat(pvalues, i0: int, n_cal: int) -> int:
-    """T = (n_cal+1) p_(m-i0), an integer by the p-value grid property."""
-    p = np.sort(np.asarray(pvalues, dtype=float))
-    m = p.size
+def _check_i0(i0: int, m: int) -> None:
     if not 0 <= i0 <= m - 1:
         raise ConfigurationError(f"i0 must lie in [0, {m - 1}], got {i0}")
-    t = p[m - i0 - 1] * (n_cal + 1)
-    T = round(t)
-    if abs(t - T) > 1e-6 or not 1 <= T <= n_cal + 1:
+
+
+def _quantile_stats(p: np.ndarray, i0: int, n_cal: int) -> np.ndarray:
+    m = p.shape[1]
+    _check_i0(i0, m)
+    order_stat = np.sort(p, axis=1)[:, m - i0 - 1]
+    t = order_stat * (n_cal + 1)
+    T = np.round(t)
+    on_grid = (np.abs(t - T) <= 1e-6) & (1 <= T) & (T <= n_cal + 1)
+    if not on_grid.all():
         raise ValueError(
-            f"p-value {p[m - i0 - 1]} is not on the conformal grid for n_cal={n_cal}"
+            f"p-value {order_stat[~on_grid][0]} is not on the conformal grid for n_cal={n_cal}"
         )
-    return int(T)
+    return T.astype(np.int64)
+
+
+def quantile_stat(pvalues, i0: int, n_cal: int) -> int:
+    """T = (n_cal+1) p_(m-i0), an integer by the p-value grid property."""
+    return int(_quantile_stats(_one_row(pvalues), i0, n_cal)[0])
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
@@ -193,52 +210,73 @@ def quantile_pvalue(T: int, m: int, n_cal: int, spec: ContamTestSpec) -> float:
     if not 1 <= T <= n_cal + 1:
         raise ValueError(f"T must lie in [1, {n_cal + 1}], got {T}")
     i0 = spec.i0 if spec.i0 is not None else default_i0(m)
-    if not 0 <= i0 <= m - 1:
-        raise ConfigurationError(f"i0 must lie in [0, {m - 1}], got {i0}")
+    _check_i0(i0, m)
     return float(_quantile_table(m, n_cal, i0, spec.pi_th)[T - 1])
+
+
+def _fisher_stats(p: np.ndarray, n_cal: int) -> np.ndarray:
+    if np.any(p <= 0.0):
+        raise ValueError("p-values must be positive (grid property violated)")
+    return np.sum(fisher_variant_g(n_cal)(p), axis=1)
 
 
 def fisher_stat(pvalues, n_cal: int) -> float:
     """T = 2 sum_i log((n_cal+1) p_i); zero iff every p-value is minimal."""
-    p = np.asarray(pvalues, dtype=float)
-    if np.any(p <= 0.0):
-        raise ValueError("p-values must be positive (grid property violated)")
-    return float(np.sum(fisher_variant_g(n_cal)(p)))
+    return float(_fisher_stats(_one_row(pvalues), n_cal)[0])
 
 
-def _gsum_pvalue(T: float, m: int, n_cal: int, pi_th: float, g: GFunction) -> float:
+def _gsum_pvalue(T, m: int, n_cal: int, pi_th: float, g: GFunction):
+    """u at every entry of T, over every inlier count k at once.
+
+    The terms b_k F_{g,k}(y_k) are added to pi_th^m left to right in k, so
+    each entry gets the bits of a scalar loop over k.
+    """
+    T = np.asarray(T, dtype=float)
     b = binom_pmf_inliers_vector(m, pi_th)
-    acc = pi_th**m
-    for k in range(1, m + 1):
-        if b[k] < 1e-18:
-            # the skipped terms total below 1e-16 since every CDF is <= 1
-            continue
-        scale = math.sqrt(1.0 + k / n_cal)
-        y = (T + k * (scale - 1.0) * g.exact_integral) / scale
-        acc += b[k] * gsum_cdf(y, k, g)
-    return min(1.0, acc)
+    # skipped terms total below 1e-16 since every CDF is <= 1
+    k = np.flatnonzero(b[1:] >= 1e-18) + 1
+    scale = np.sqrt(1.0 + k / n_cal)
+    y = (T[..., None] + k * (scale - 1.0) * g.exact_integral) / scale
+    terms = np.empty(T.shape + (k.size + 1,))
+    terms[..., 0] = pi_th**m
+    terms[..., 1:] = b[k] * gsum_cdf(y, k, g)
+    return np.fmin(np.add.accumulate(terms, axis=-1)[..., -1], 1.0)
 
 
-def fisher_pvalue(T: float, m: int, n_cal: int, spec: ContamTestSpec) -> float:
+def _fisher_g(n_cal: int, formula: str) -> GFunction:
     g = fisher_variant_g(n_cal)
-    if spec.fisher_formula == "printed":
+    if formula == "printed":
         # The formula as printed applies the chi-square CDF directly at
         # 2k ln(n+1) - y: the complement of the closed form.  Kept only for
         # comparison: its orientation reverses, so it does not reject under
         # heavy contamination.
         cdf = g.closed_form_cdf
         g = replace(g, closed_form_cdf=lambda y, k: 1.0 - cdf(y, k))
-    return _gsum_pvalue(T, m, n_cal, spec.pi_th, g)
+    return g
+
+
+def fisher_pvalue(T: float, m: int, n_cal: int, spec: ContamTestSpec) -> float:
+    return float(_gsum_pvalue(T, m, n_cal, spec.pi_th, _fisher_g(n_cal, spec.fisher_formula)))
+
+
+def _sum_stats(p: np.ndarray) -> np.ndarray:
+    return np.sum(identity_g(p), axis=1)
+
+
+def _check_sum_stat(T, m: int) -> None:
+    T = np.asarray(T)
+    inside = (-1e-12 <= T) & (T <= m + 1e-12)
+    if not inside.all():
+        raise ValueError(f"T must lie in [0, {m}], got {T[~inside].flat[0]}")
 
 
 def sum_stat(pvalues) -> float:
-    return float(np.sum(identity_g(np.asarray(pvalues, dtype=float))))
+    return float(_sum_stats(_one_row(pvalues))[0])
 
 
 def sum_pvalue(T: float, m: int, n_cal: int, spec: ContamTestSpec) -> float:
-    if not -1e-12 <= T <= m + 1e-12:
-        raise ValueError(f"T must lie in [0, {m}], got {T}")
-    return _gsum_pvalue(T, m, n_cal, spec.pi_th, identity_g)
+    _check_sum_stat(T, m)
+    return float(_gsum_pvalue(T, m, n_cal, spec.pi_th, identity_g))
 
 
 def generic_g_pvalue(pvalues, g: GFunction, n_cal: int, pi_th: float) -> float:
@@ -250,45 +288,73 @@ def generic_g_pvalue(pvalues, g: GFunction, n_cal: int, pi_th: float) -> float:
     """
     p = np.asarray(pvalues, dtype=float)
     T = float(np.sum(g(p)))
-    return _gsum_pvalue(T, p.size, n_cal, pi_th, g)
+    return float(_gsum_pvalue(T, p.size, n_cal, pi_th, g))
 
 
-def _resolve_spec(spec: ContamTestSpec, m: int, n_cal: int) -> ContamTestSpec:
-    if spec.family == "storey" and spec.lam is None:
-        return replace(spec, lam=default_lambda(n_cal))
-    if spec.family == "quantile" and spec.i0 is None:
-        return replace(spec, i0=default_i0(m))
+def resolve_spec(spec: ContamTestSpec, m: int, n_cal: int) -> ContamTestSpec:
+    """The spec with its defaults filled in for batches of m points, checked.
+
+    An off-grid lambda, an i0 outside [0, m-1] or a generic_g spec without
+    its transform raises ConfigurationError.
+    """
+    if spec.family == "storey":
+        if spec.lam is None:
+            spec = replace(spec, lam=default_lambda(n_cal))
+        lambda_grid_index(spec.lam, n_cal)
+    elif spec.family == "quantile":
+        if spec.i0 is None:
+            spec = replace(spec, i0=default_i0(m))
+        _check_i0(spec.i0, m)
+    elif spec.family == "generic_g" and spec.g is None:
+        raise ConfigurationError("generic_g family requires a GFunction")
     return spec
 
 
+def run_contam_tests(pvalues, spec: ContamTestSpec, n_cal: int) -> tuple[np.ndarray, np.ndarray]:
+    """Statistics and p-values of every row of an (agents, m) p-value matrix.
+
+    Row i gets the bits that :func:`run_contam_test` gives it alone: the
+    exact families gather every row from one cached table, and the
+    asymptotic ones evaluate every row and every inlier count in one pass.
+    """
+    p = np.asarray(pvalues, dtype=float)
+    if p.ndim != 2 or p.shape[1] == 0:
+        raise ConfigurationError(
+            f"need an (agents, m) p-value matrix with m >= 1, got shape {p.shape}"
+        )
+    m = p.shape[1]
+    spec = resolve_spec(spec, m, n_cal)
+    if spec.family == "storey":
+        T = _storey_stats(p, spec.lam, n_cal)
+        u = _storey_table(m, n_cal, lambda_grid_index(spec.lam, n_cal), spec.pi_th)[T]
+    elif spec.family == "quantile":
+        T = _quantile_stats(p, spec.i0, n_cal)
+        u = _quantile_table(m, n_cal, spec.i0, spec.pi_th)[T - 1]
+    elif spec.family == "fisher":
+        T = _fisher_stats(p, n_cal)
+        u = _gsum_pvalue(T, m, n_cal, spec.pi_th, _fisher_g(n_cal, spec.fisher_formula))
+    elif spec.family == "sum":
+        T = _sum_stats(p)
+        _check_sum_stat(T, m)
+        u = _gsum_pvalue(T, m, n_cal, spec.pi_th, identity_g)
+    else:  # generic_g
+        T = np.sum(spec.g(p), axis=1)
+        u = _gsum_pvalue(T, m, n_cal, spec.pi_th, spec.g)
+    return T.astype(float), u
+
+
 def run_contam_test(pvalues, spec: ContamTestSpec, n_cal: int) -> ContamTestResult:
-    """Dispatch on the family: compute the statistic, then its p-value.
+    """The test of one batch: :func:`run_contam_tests` on a one-row matrix.
 
     The returned result carries the resolved spec (defaults filled in) so a
     run is reproducible from its record alone.
     """
-    p = np.asarray(pvalues, dtype=float)
-    m = int(p.size)
+    p = _one_row(pvalues)
+    m = p.shape[1]
     if m == 0:
         raise ConfigurationError("empty batch: need at least one conformal p-value")
-    spec = _resolve_spec(spec, m, n_cal)
-    if spec.family == "storey":
-        T = storey_stat(p, spec.lam, n_cal)
-        u = storey_pvalue(T, m, n_cal, spec)
-    elif spec.family == "quantile":
-        T = quantile_stat(p, spec.i0, n_cal)
-        u = quantile_pvalue(T, m, n_cal, spec)
-    elif spec.family == "fisher":
-        T = fisher_stat(p, n_cal)
-        u = fisher_pvalue(T, m, n_cal, spec)
-    elif spec.family == "sum":
-        T = sum_stat(p)
-        u = sum_pvalue(T, m, n_cal, spec)
-    else:  # generic_g
-        if spec.g is None:
-            raise ConfigurationError("generic_g family requires a GFunction")
-        T = float(np.sum(spec.g(p)))
-        u = _gsum_pvalue(T, m, n_cal, spec.pi_th, spec.g)
+    spec = resolve_spec(spec, m, n_cal)
+    T, u = run_contam_tests(p, spec, n_cal)
     return ContamTestResult(
-        statistic=float(T), p_value=float(u), spec=spec, m=m, n_cal=n_cal
+        statistic=float(T[0]), p_value=float(u[0]), spec=spec, m=m, n_cal=n_cal
     )

@@ -26,7 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from .conformal import Datapoint, conformal_pvalues, split_fit
-from .contamtest import ContamTestSpec, run_contam_test
+# run_contam_test stays bound for bench/tracing.py, which patches it here
+from .contamtest import ContamTestSpec, resolve_spec, run_contam_test, run_contam_tests  # noqa: F401
 from .errors import ConfigurationError
 from .mht import PValueVector, bh, storey_bh
 from .protocol import AgentBatch, trainer_from_tag
@@ -36,6 +37,7 @@ __all__ = [
     "GaussianSource",
     "McReport",
     "ScenarioConfig",
+    "draw_scenario",
     "gen_scenario",
     "mc_fdr_tdr",
     "mc_power",
@@ -62,17 +64,25 @@ def resolve_pis(
     "fixed" takes ``pi_values`` verbatim, "split" gives the first k0 agents
     pi0 and the rest pi1, and "uniform" draws k iid standard uniforms from
     ``rng``, the only rule that consumes it.  Without an rng the "uniform"
-    rule has no factors to give, so it raises.
+    rule has no factors to give, so it raises.  A given factor outside
+    [0, 1] raises, naming its key.
     """
     if pi_rule == "fixed":
         if pi_values is None or len(pi_values) != k:
             raise ConfigurationError("pi_rule='fixed' needs pi_values of length k")
+        if not all(0.0 <= v <= 1.0 for v in pi_values):
+            raise ConfigurationError(
+                f"pi_rule='fixed' needs values in [0, 1], got {list(pi_values)!r}"
+            )
         return np.asarray(pi_values, dtype=float)
     if pi_rule == "split":
         if k0 is None or pi0 is None or pi1 is None:
             raise ConfigurationError("pi_rule='split' needs k0, pi0, pi1")
         if not (isinstance(k0, numbers.Integral) and 0 <= k0 <= k):
             raise ConfigurationError(f"k0 must be an integer in [0, {k}], got {k0!r}")
+        for key, value in (("pi0", pi0), ("pi1", pi1)):
+            if not 0.0 <= value <= 1.0:
+                raise ConfigurationError(f"{key} must lie in [0, 1], got {value!r}")
         pis = np.full(k, float(pi1))
         pis[:k0] = float(pi0)
         return pis
@@ -163,36 +173,55 @@ def null_agent_mask(config: ScenarioConfig) -> np.ndarray:
     return config.resolve_pis(None) <= config.pi_th
 
 
-def gen_scenario(
+def draw_scenario(
     config: ScenarioConfig, replicate_index: int
-) -> tuple[list[Datapoint], list[AgentBatch], list[np.ndarray]]:
-    """Null sample, per-agent round-1 batches, and per-point outlier masks."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Null features (n, dim), agent features (k, m, dim) and outlier masks (k, m).
+
+    Draws from the replicate's (seed, replicate_index) stream: the factors
+    (uniform rule only), the null sample, then per agent its outlier mask
+    and its m feature rows.
+    """
     rng = np.random.default_rng([config.seed, int(replicate_index)])
     pis = config.resolve_pis(rng)
     null_feats = rng.standard_normal((config.n, config.dim))
-    null_sample = [Datapoint(f) for f in null_feats]
     pool = 2 * config.m if config.count_rule == "per_2m" else config.m
-    batches, masks = [], []
+    feats = np.empty((config.k, config.m, config.dim))
+    masks = np.empty((config.k, config.m), dtype=bool)
     for a in range(config.k):
-        mask = outlier_mask(rng, pool, pis[a])[: config.m]
-        feats = rng.standard_normal((config.m, config.dim))
-        feats[mask] += config.mu1
-        batches.append(
-            AgentBatch(
-                agent_id=f"agent{a:03d}", points=[Datapoint(f) for f in feats]
-            )
+        masks[a] = outlier_mask(rng, pool, pis[a])[: config.m]
+        feats[a] = rng.standard_normal((config.m, config.dim))
+    feats[masks] += config.mu1
+    return null_feats, feats, masks
+
+
+def gen_scenario(
+    config: ScenarioConfig, replicate_index: int
+) -> tuple[list[Datapoint], list[AgentBatch], list[np.ndarray]]:
+    """:func:`draw_scenario` as datapoints: null sample, round-1 batches, masks."""
+    null_feats, feats, masks = draw_scenario(config, replicate_index)
+    batches = [
+        AgentBatch(agent_id=f"agent{a:03d}", points=[Datapoint(f) for f in feats[a]])
+        for a in range(config.k)
+    ]
+    return [Datapoint(f) for f in null_feats], batches, list(masks)
+
+
+def _resolved_specs(config: ScenarioConfig, families) -> tuple[ContamTestSpec, ...]:
+    """One checked spec per family, defaults filled in for the config's m and n_cal."""
+    return tuple(
+        resolve_spec(
+            ContamTestSpec(
+                family=family,
+                pi_th=config.pi_th,
+                lam=config.lam,
+                i0=config.i0,
+                fisher_formula=config.fisher_formula,
+            ),
+            config.m,
+            config.n_cal,
         )
-        masks.append(mask)
-    return null_sample, batches, masks
-
-
-def _spec_for(config: ScenarioConfig, family: str) -> ContamTestSpec:
-    return ContamTestSpec(
-        family=family,
-        pi_th=config.pi_th,
-        lam=config.lam,
-        i0=config.i0,
-        fisher_formula=config.fisher_formula,
+        for family in families
     )
 
 
@@ -233,36 +262,40 @@ def _as_families(families) -> tuple[str, ...]:
     return tuple(fams)
 
 
-def _power_replicate(config: ScenarioConfig, families, idx: int) -> list[dict]:
-    null_sample, batches, _ = gen_scenario(config, idx)
-    cal = split_fit(null_sample, config.ell, trainer_from_tag(config.score))
-    pv = conformal_pvalues(cal, batches[0].points)
+def _replicate_pvalues(config: ScenarioConfig, idx: int) -> tuple[np.ndarray, int]:
+    """The (k, m) conformal p-values of replicate idx, and its n_cal."""
+    null_feats, feats, _ = draw_scenario(config, idx)
+    cal = split_fit(null_feats, config.ell, trainer_from_tag(config.score))
+    pv = conformal_pvalues(cal, feats.reshape(-1, config.dim))
+    return pv.reshape(config.k, config.m), cal.n_cal
+
+
+def _power_replicate(config: ScenarioConfig, specs, idx: int) -> list[dict]:
+    pv, n_cal = _replicate_pvalues(config, idx)
     rows = []
-    for fam in families:
-        res = run_contam_test(pv, _spec_for(config, fam), cal.n_cal)
+    for spec in specs:
+        stats, us = run_contam_tests(pv, spec, n_cal)
         rows.append(
             {
                 "replicate": idx,
-                "family": fam,
-                "statistic": res.statistic,
-                "p_value": res.p_value,
-                "reject": int(res.p_value <= config.alpha),
+                "family": spec.family,
+                "statistic": float(stats[0]),
+                "p_value": float(us[0]),
+                "reject": int(us[0] <= config.alpha),
             }
         )
     return rows
 
 
-def _fdr_replicate(config: ScenarioConfig, families, procedure: str, idx: int) -> list[dict]:
-    null_sample, batches, _ = gen_scenario(config, idx)
-    cal = split_fit(null_sample, config.ell, trainer_from_tag(config.score))
-    pvs = [conformal_pvalues(cal, b.points) for b in batches]
-    ids = [b.agent_id for b in batches]
-    null_mask = null_agent_mask(config)
+def _fdr_replicate(
+    config: ScenarioConfig, specs, procedure: str, null_mask: np.ndarray, idx: int
+) -> list[dict]:
+    pv, n_cal = _replicate_pvalues(config, idx)
+    ids = [f"agent{a:03d}" for a in range(config.k)]
     k0 = int(null_mask.sum())
     rows = []
-    for fam in families:
-        spec = _spec_for(config, fam)
-        us = [run_contam_test(pv, spec, cal.n_cal).p_value for pv in pvs]
+    for spec in specs:
+        _, us = run_contam_tests(pv, spec, n_cal)
         pvec = PValueVector.make(us, ids)
         if procedure == "bh":
             outcome = bh(pvec, config.alpha)
@@ -273,7 +306,7 @@ def _fdr_replicate(config: ScenarioConfig, families, procedure: str, idx: int) -
         rows.append(
             {
                 "replicate": idx,
-                "family": fam,
+                "family": spec.family,
                 "V": v,
                 "S": s,
                 "R": len(outcome.rejected),
@@ -312,8 +345,9 @@ def mc_power(config: ScenarioConfig, families, threads: int = 1) -> McReport:
     if config.k != 1:
         raise ConfigurationError("power study runs with a single agent (k=1)")
     families = _as_families(families)
+    specs = _resolved_specs(config, families)
     start = time.perf_counter()
-    rows = _run_chunked(_power_replicate, (config, families), config.replicates, threads)
+    rows = _run_chunked(_power_replicate, (config, specs), config.replicates, threads)
     estimates = {}
     for fam in families:
         rejects = [r["reject"] for r in rows if r["family"] == fam]
@@ -340,11 +374,12 @@ def mc_fdr_tdr(
         raise ConfigurationError("FDR/TDR study needs at least two agents")
     if procedure not in ("bh", "storey_bh"):
         raise ConfigurationError(f"unknown procedure {procedure!r}")
-    null_agent_mask(config)  # fail fast if ground truth is undefined
+    null_mask = null_agent_mask(config)  # raises if ground truth is undefined
     families = _as_families(families)
+    specs = _resolved_specs(config, families)
     start = time.perf_counter()
     rows = _run_chunked(
-        _fdr_replicate, (config, families, procedure), config.replicates, threads
+        _fdr_replicate, (config, specs, procedure, null_mask), config.replicates, threads
     )
     estimates = {}
     for fam in families:

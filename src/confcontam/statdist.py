@@ -150,16 +150,32 @@ def nhg_cdf_table(params: NhgParams) -> np.ndarray:
     return nhg_cdf_rows(n, k - params.failures, [k], n)[0]
 
 
-def chi2_cdf(x: float, dof: int) -> float:
-    """Chi-square CDF: the regularized lower incomplete gamma P(dof/2, x/2)."""
-    if dof < 1:
+def chi2_cdf(x, dof):
+    """Chi-square CDF: the regularized lower incomplete gamma P(dof/2, x/2).
+
+    ``x`` and ``dof`` broadcast, so one call covers every order at once;
+    scalar arguments give a float.
+    """
+    x = np.asarray(x, dtype=float)
+    dof = np.asarray(dof)
+    if np.any(dof < 1):
         raise ValueError(f"dof must be a positive integer, got {dof}")
-    if x <= 0.0:
-        return 0.0
-    return float(gammainc(dof / 2.0, x / 2.0))
+    out = np.where(x <= 0.0, 0.0, gammainc(dof / 2.0, x / 2.0))
+    return float(out) if out.ndim == 0 else out
 
 
-def irwin_hall_cdf(x: float, k: int, exact_max: int = IRWIN_HALL_EXACT_MAX) -> float:
+def _irwin_hall_exact(x: float, k: int) -> float:
+    # x is a dyadic rational, so the alternating sum runs in integers
+    num, den = x.as_integer_ratio()
+    total = 0
+    for j in range(math.floor(x) + 1):
+        term = math.comb(k, j) * (num - j * den) ** k
+        total += -term if j & 1 else term
+    val = total / (den**k * math.factorial(k))
+    return min(1.0, max(0.0, val))
+
+
+def irwin_hall_cdf(x, k, exact_max: int = IRWIN_HALL_EXACT_MAX):
     """CDF of the sum of k iid standard uniforms.
 
     Alternating sum (1/k!) sum_j (-1)^j C(k, j) (x-j)^k up to ``exact_max``.
@@ -169,23 +185,27 @@ def irwin_hall_cdf(x: float, k: int, exact_max: int = IRWIN_HALL_EXACT_MAX) -> f
     evaluated in integer arithmetic, leaving a single correctly-rounded
     float division at the end.  Past ``exact_max`` a normal approximation
     with mean k/2 and variance k/12 is used; its error there is below 1e-3.
+
+    ``x`` and ``k`` broadcast, so one call covers every order at once;
+    scalar arguments give a float.  Only the elements with k <= exact_max
+    pay for the integer sum.  The normal branch calls ``math.erfc`` per
+    element, because ``scipy.special.erfc`` differs from it in the last
+    bit on many arguments and the values would then depend on the caller.
     """
-    if k < 1:
+    x, k = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(k))
+    if np.any(k < 1):
         raise ValueError(f"k must be a positive integer, got {k}")
-    if x <= 0.0:
-        return 0.0
-    if x >= k:
-        return 1.0
-    if k <= exact_max:
-        num, den = float(x).as_integer_ratio()
-        total = 0
-        for j in range(math.floor(x) + 1):
-            term = math.comb(k, j) * (num - j * den) ** k
-            total += -term if j & 1 else term
-        val = total / (den**k * math.factorial(k))
-        return min(1.0, max(0.0, val))
-    z = (x - k / 2.0) / math.sqrt(k / 12.0)
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+    shape = x.shape
+    x, k = x.ravel(), k.ravel()
+    out = np.where(x <= 0.0, 0.0, np.where(x >= k, 1.0, np.nan))
+    inside = (x > 0.0) & (x < k)
+    for i in np.flatnonzero(inside & (k <= exact_max)):
+        out[i] = _irwin_hall_exact(float(x[i]), int(k[i]))
+    normal = inside & (k > exact_max)
+    kn = k[normal]
+    z = (x[normal] - kn / 2.0) / np.sqrt(kn / 12.0)
+    out[normal] = [0.5 * math.erfc(v) for v in (-z / math.sqrt(2.0)).tolist()]
+    return float(out[0]) if not shape else out.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -195,7 +215,8 @@ class GFunction:
     ``exact_integral`` is the exact value of int_0^1 fn(u) du, needed by the
     finite-sample centering of the asymptotic p-values.  When
     ``closed_form_cdf`` is set, it evaluates the CDF of sum_{i<=k} fn(U_i)
-    directly and the Monte Carlo path is skipped.  ``name`` identifies the
+    directly, elementwise over broadcast arrays of y and k, and the Monte
+    Carlo path is skipped.  ``name`` identifies the
     transform in the Monte Carlo cache, so distinct transforms must not
     share a name.
 
@@ -207,7 +228,7 @@ class GFunction:
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
     exact_integral: float
-    closed_form_cdf: Callable[[float, int], float] | None = None
+    closed_form_cdf: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __call__(self, u):
         return self.fn(u)
@@ -241,7 +262,7 @@ def fisher_variant_g(n_cal: int) -> GFunction:
     def fn(u):
         return 2.0 * (np.log(np.asarray(u, dtype=float)) + ln_np1)
 
-    def cdf(y: float, k: int) -> float:
+    def cdf(y, k):
         return 1.0 - chi2_cdf(2.0 * k * ln_np1 - y, 2 * k)
 
     return GFunction(
@@ -280,22 +301,31 @@ def _gsum_mc_sample(g: GFunction, k: int, mc_samples: int, mc_seed: int) -> np.n
 
 
 def gsum_cdf(
-    y: float,
-    k: int,
+    y,
+    k,
     g: GFunction,
     mc_samples: int = GSUM_MC_SAMPLES,
     mc_seed: int = GSUM_MC_SEED,
     force_mc: bool = False,
-) -> float:
+):
     """CDF of sum_{i=1}^k g(U_i), U_i iid standard uniform, at y.
 
     Transforms with a closed form use it; anything else gets an
     empirical CDF over a cached Monte Carlo sample drawn under a sub-seed
     fixed by (mc_seed, g.name, k), so repeated calls are deterministic.
+    ``y`` and ``k`` broadcast, so one call covers every order at once;
+    scalar arguments give a float.
     """
-    if k < 1:
+    k = np.asarray(k)
+    if np.any(k < 1):
         raise ValueError(f"k must be a positive integer, got {k}")
     if g.closed_form_cdf is not None and not force_mc:
-        return float(g.closed_form_cdf(y, k))
-    sample = _gsum_mc_sample(g, k, mc_samples, mc_seed)
-    return float(np.searchsorted(sample, y, side="right")) / sample.size
+        out = np.asarray(g.closed_form_cdf(y, k), dtype=float)
+    else:
+        y, k = np.broadcast_arrays(np.asarray(y, dtype=float), k)
+        out = np.empty(y.shape)
+        for order in np.unique(k).tolist():
+            sample = _gsum_mc_sample(g, order, mc_samples, mc_seed)
+            at = k == order
+            out[at] = np.searchsorted(sample, y[at], side="right") / sample.size
+    return float(out) if out.ndim == 0 else out

@@ -66,3 +66,20 @@ def test_traced_scenario_and_source(tracer):
     harness.conformal_pvalues(cal, batches[0].points)
     assert tracer.calls["conformal.split_fit"] == 1
     assert tracer.calls["conformal.pvalues"] == 1
+
+
+@pytest.mark.parametrize("count_rule", ["per_batch", "per_2m"])
+def test_array_draw_is_gen_scenario(count_rule):
+    # bench/run.py regenerates fdr_study inputs through gen_scenario, while
+    # the studies run on draw_scenario's arrays: the two must not drift apart
+    config = harness.ScenarioConfig(
+        n=12, m=5, k=3, dim=2, pi_rule="split", k0=1, pi0=0.2, pi1=0.7,
+        count_rule=count_rule, seed=3,
+    )
+    for idx in (0, 4):
+        null_feats, feats, masks = harness.draw_scenario(config, idx)
+        null, batches, batch_masks = harness.gen_scenario(config, idx)
+        assert np.array_equal(np.stack([d.features for d in null]), null_feats)
+        for a, batch in enumerate(batches):
+            assert np.array_equal(np.stack([d.features for d in batch.points]), feats[a])
+            assert np.array_equal(batch_masks[a], masks[a])

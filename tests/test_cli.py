@@ -521,6 +521,12 @@ def _probe_cases():
         (sim, "pi.pi0", float("nan")),
         (sim, "pi.pi1", float("inf")),
         (sim, "alpha", 10**400),
+        (sim, "pi.pi1", 1.5),
+        (sim, "pi.pi0", -0.1),
+        (power, "pi.values", [1.5]),
+        (proto, "scenario.pi.pi1", -0.5),
+        (power, "procedure", 3),
+        (power, "procedure", "by"),
     ]
     cases += [
         (sim, key, bad)

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from confcontam import conformal
+
 from confcontam.conformal import (
     ConformalCalibration,
     Datapoint,
@@ -123,6 +125,15 @@ class TestScores:
         assert score2(q)[0] == pytest.approx(-9.0)
         assert score1(_points([[0.0]]))[0] == 0.0
 
+    def test_knn_scores_a_matrix_in_blocks_like_datapoints(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        fit, queries = rng.standard_normal((12, 3)), rng.standard_normal((40, 3))
+        expected = knn_distance_trainer(2)(_points(fit))(_points(queries)).tolist()
+        score = knn_distance_trainer(2)(fit)
+        assert score(queries).tolist() == expected
+        monkeypatch.setattr(conformal, "KNN_BLOCK", 50)  # 50 // 36: one query per block
+        assert score(queries).tolist() == expected
+
     def test_knn_needs_enough_fit_points(self):
         with pytest.raises(ConfigurationError):
             knn_distance_trainer(3)(_points([[0.0], [1.0]]))
@@ -141,6 +152,19 @@ class TestScores:
         wrapped = classwise_trainer(knn_distance_trainer(1))(fit)
         queries = _points([[0.0], [3.0]], labels=[7, 7])
         assert np.allclose(plain(queries), wrapped(queries))
+
+    @pytest.mark.parametrize("base", ["negnorm", "knn"])
+    def test_classwise_equals_per_point_scoring(self, base):
+        rng = np.random.default_rng(5)
+        trainer = negative_norm_trainer if base == "negnorm" else knn_distance_trainer(3)
+        fit = _points(rng.standard_normal((30, 2)), labels=rng.integers(0, 3, 30))
+        queries = _points(rng.standard_normal((25, 2)), labels=rng.integers(0, 3, 25))
+        score = classwise_trainer(trainer)(fit)
+        subs = {
+            lab: trainer([p for p in fit if p.label == lab]) for lab in (0, 1, 2)
+        }
+        per_point = [subs[p.label]([p])[0] for p in queries]
+        assert score(queries).tolist() == per_point
 
     def test_classwise_unseen_label(self):
         fit = _points([[1.0]], labels=[0])

@@ -14,6 +14,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.special import gammainc
 
 from confcontam.contamtest import (
     ContamTestSpec,
@@ -25,6 +26,7 @@ from confcontam.contamtest import (
     quantile_pvalue,
     quantile_stat,
     run_contam_test,
+    run_contam_tests,
     storey_pvalue,
     storey_stat,
     sum_pvalue,
@@ -34,6 +36,7 @@ from confcontam.errors import ConfigurationError
 from confcontam.statdist import (
     GFunction,
     NhgParams,
+    binom_pmf_inliers_vector,
     fisher_variant_g,
     identity_g,
     nhg_cdf,
@@ -399,3 +402,74 @@ class TestOrderStatisticLaw:
                 lhs = Fraction(sum(1 for r in ranks if r <= t), total)
                 rhs = nhg_cdf(t - 1, NhgParams(n + k, n, j))
                 assert abs(float(lhs) - rhs) <= 1e-12
+
+
+# -- the scalar k-loop that the matrix evaluation replaced, kept as the reference
+
+
+def _scalar_irwin_hall(x: float, k: int) -> float:
+    if x <= 0.0:
+        return 0.0
+    if x >= k:
+        return 1.0
+    if k <= 30:
+        num, den = float(x).as_integer_ratio()
+        total = 0
+        for j in range(math.floor(x) + 1):
+            term = math.comb(k, j) * (num - j * den) ** k
+            total += -term if j & 1 else term
+        return min(1.0, max(0.0, total / (den**k * math.factorial(k))))
+    z = (x - k / 2.0) / math.sqrt(k / 12.0)
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+
+def _scalar_fisher_cdf(y: float, k: int, n_cal: int) -> float:
+    x = 2.0 * k * math.log(n_cal + 1.0) - y
+    return 1.0 - (0.0 if x <= 0.0 else float(gammainc((2 * k) / 2.0, x / 2.0)))
+
+
+def _scalar_gsum_pvalue(T: float, m: int, n_cal: int, pi_th: float, family: str) -> float:
+    b = binom_pmf_inliers_vector(m, pi_th)
+    integral = 0.5 if family == "sum" else 2.0 * math.log(n_cal + 1.0) - 2.0
+    acc = pi_th**m
+    for k in range(1, m + 1):
+        if b[k] < 1e-18:
+            continue
+        scale = math.sqrt(1.0 + k / n_cal)
+        y = (T + k * (scale - 1.0) * integral) / scale
+        if family == "sum":
+            cdf = _scalar_irwin_hall(y, k)
+        elif family == "fisher":
+            cdf = _scalar_fisher_cdf(y, k, n_cal)
+        else:  # the printed Fisher formula
+            cdf = 1.0 - _scalar_fisher_cdf(y, k, n_cal)
+        acc += b[k] * cdf
+    return min(1.0, acc)
+
+
+class TestMatrixAsymptoticPvalues:
+    """run_contam_tests gives every row the bits of the scalar k-loop."""
+
+    @pytest.mark.parametrize("variant", ["sum", "fisher", "printed"])
+    def test_bitwise_equal_to_scalar_loop(self, variant):
+        rng = np.random.default_rng({"sum": 1, "fisher": 2, "printed": 3}[variant])
+        family = "sum" if variant == "sum" else "fisher"
+        formula = "printed" if variant == "printed" else "derived"
+        reached_exact = False
+        for _ in range(120):
+            m = int(rng.integers(1, 151))
+            n_cal = int(rng.integers(5, 401))
+            pi_th = 0.0 if rng.uniform() < 0.2 else float(rng.uniform(0.0, 0.6))
+            rows = rng.integers(1, n_cal + 2, size=(3, m)) / (n_cal + 1)
+            spec = _spec(family, pi_th, fisher_formula=formula)
+            stats, us = run_contam_tests(rows, spec, n_cal)
+            for row, t, u in zip(rows, stats, us):
+                if family == "sum":
+                    assert t == sum_stat(row) == float(np.sum(row))
+                else:
+                    assert t == fisher_stat(row, n_cal)
+                assert u == _scalar_gsum_pvalue(t, m, n_cal, pi_th, variant)
+                assert u == run_contam_test(row, spec, n_cal).p_value
+            b = binom_pmf_inliers_vector(m, pi_th)
+            reached_exact |= bool(np.any(b[1:31] >= 1e-18))
+        assert reached_exact  # some cells take the k <= 30 Irwin-Hall branch

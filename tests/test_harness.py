@@ -6,7 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from confcontam.conformal import conformal_pvalues_from_scores, stack_features
+from confcontam.conformal import (
+    conformal_pvalues,
+    conformal_pvalues_from_scores,
+    split_fit,
+    stack_features,
+)
+from confcontam.contamtest import ContamTestSpec, run_contam_test
 from confcontam.errors import ConfigurationError
 from confcontam.harness import (
     GaussianSource,
@@ -17,6 +23,8 @@ from confcontam.harness import (
     null_agent_mask,
     oracle_nhg_enumeration,
 )
+from confcontam.mht import PValueVector, bh, storey_bh
+from confcontam.protocol import trainer_from_tag
 from confcontam.statdist import NhgParams
 
 
@@ -81,6 +89,21 @@ class TestGenScenario:
     def test_split_k0_out_of_range_rejected(self, k0):
         with pytest.raises(ConfigurationError):
             _config(pi_rule="split", k0=k0, pi0=0.1, pi1=0.5, pi_values=None)
+
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            dict(pi_rule="split", k0=0, pi0=0.1, pi1=1.5),
+            dict(pi_rule="split", k0=1, pi0=-0.1, pi1=0.5),
+            dict(pi_rule="fixed", pi_values=(0.2, 1.01)),
+        ],
+    )
+    def test_factor_outside_unit_interval_rejected(self, rule):
+        rule = {"pi_values": None, **rule}
+        with pytest.raises(ConfigurationError, match=r"\b(pi0|pi1|values)\b"):
+            _config(k=2, **rule)
+        with pytest.raises(ConfigurationError, match=r"\b(pi0|pi1|values)\b"):
+            GaussianSource(n=20, m=10, k=2, seed=8, **rule)
 
     def test_null_mask_rules(self):
         config = _config(k=4, pi_rule="split", k0=2, pi0=0.1, pi1=0.5, pi_th=0.2)
@@ -172,6 +195,73 @@ class TestMcFdrTdr:
         serial = mc_fdr_tdr(config, "sum")
         parallel = mc_fdr_tdr(config, "sum", threads=3)
         assert serial.estimates == parallel.estimates
+
+
+def _rebuilt_rows(config, families, procedure=None):
+    """Study rows rebuilt one datapoint list and one agent at a time."""
+    rows = []
+    null_mask = null_agent_mask(config) if procedure else None
+    for idx in range(config.replicates):
+        null, batches, _ = gen_scenario(config, idx)
+        cal = split_fit(null, config.ell, trainer_from_tag(config.score))
+        pvs = [conformal_pvalues(cal, b.points) for b in batches]
+        for fam in families:
+            spec = ContamTestSpec(
+                family=fam, pi_th=config.pi_th, lam=config.lam, i0=config.i0,
+                fisher_formula=config.fisher_formula,
+            )
+            results = [run_contam_test(pv, spec, cal.n_cal) for pv in pvs]
+            if procedure is None:
+                res = results[0]
+                rows.append({
+                    "replicate": idx, "family": fam, "statistic": res.statistic,
+                    "p_value": res.p_value, "reject": int(res.p_value <= config.alpha),
+                })
+                continue
+            ids = [b.agent_id for b in batches]
+            pvec = PValueVector.make([r.p_value for r in results], ids)
+            if procedure == "bh":
+                outcome = bh(pvec, config.alpha)
+            else:
+                outcome = storey_bh(pvec, config.alpha, config.gamma)
+            r = len(outcome.rejected)
+            v = sum(1 for a, null in zip(ids, null_mask) if null and a in outcome.rejected)
+            rows.append({
+                "replicate": idx, "family": fam, "V": v, "S": r - v, "R": r,
+                "fdp": v / max(1, r), "tdp": (r - v) / max(1, config.k - int(null_mask.sum())),
+            })
+    return rows
+
+
+class TestStudyRowsMatchPerAgentPath:
+    """The array study path gives the rows of the per-agent Datapoint path."""
+
+    FAMILIES = ["storey", "quantile", "fisher", "sum"]
+
+    @pytest.mark.parametrize("count_rule", ["per_batch", "per_2m"])
+    @pytest.mark.parametrize(
+        "score, ell, procedure",
+        [("negnorm", 0, "storey_bh"), ("knn", 12, "bh"), ("knn", 7, "storey_bh")],
+    )
+    def test_fdr_rows(self, count_rule, score, ell, procedure):
+        config = _config(
+            n=60, m=23, k=6, ell=ell, dim=3, score=score, count_rule=count_rule,
+            pi_rule="fixed", pi_values=(0.0, 0.05, 0.1, 0.3, 0.6, 1.0), pi_th=0.1,
+            mu1=2.0, alpha=0.2, replicates=4,
+        )
+        report = mc_fdr_tdr(config, self.FAMILIES, procedure=procedure)
+        assert report.rows == _rebuilt_rows(config, self.FAMILIES, procedure)
+
+    @pytest.mark.parametrize("count_rule", ["per_batch", "per_2m"])
+    @pytest.mark.parametrize("score, ell, formula", [("negnorm", 0, "printed"), ("knn", 9, "derived")])
+    def test_power_rows(self, count_rule, score, ell, formula):
+        config = _config(
+            n=45, m=14, ell=ell, score=score, count_rule=count_rule, pi_values=(0.4,),
+            pi_th=0.0 if formula == "printed" else 0.2, fisher_formula=formula, mu1=1.5,
+            replicates=5,
+        )
+        report = mc_power(config, self.FAMILIES)
+        assert report.rows == _rebuilt_rows(config, self.FAMILIES)
 
 
 class TestInlierPvalueLaw:
