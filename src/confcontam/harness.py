@@ -103,6 +103,11 @@ def _check_scenario(m: int, k: int, dim: int, seed: int, mu1: float) -> None:
         raise ConfigurationError(f"mu1 must be finite, got {mu1}")
 
 
+def agent_ids(k: int) -> list[str]:
+    """The ids of k simulated agents, in agent order."""
+    return [f"agent{a:03d}" for a in range(k)]
+
+
 def outlier_mask(rng: np.random.Generator, size: int, pi: float) -> np.ndarray:
     """Outlier flags of ``size`` points: Binomial(size, pi) True ones, shuffled."""
     mask = np.zeros(size, dtype=bool)
@@ -201,8 +206,8 @@ def gen_scenario(
     """:func:`draw_scenario` as datapoints: null sample, round-1 batches, masks."""
     null_feats, feats, masks = draw_scenario(config, replicate_index)
     batches = [
-        AgentBatch(agent_id=f"agent{a:03d}", points=[Datapoint(f) for f in feats[a]])
-        for a in range(config.k)
+        AgentBatch(agent_id=aid, points=[Datapoint(f) for f in feats[a]])
+        for a, aid in enumerate(agent_ids(config.k))
     ]
     return [Datapoint(f) for f in null_feats], batches, list(masks)
 
@@ -291,7 +296,7 @@ def _fdr_replicate(
     config: ScenarioConfig, specs, procedure: str, null_mask: np.ndarray, idx: int
 ) -> list[dict]:
     pv, n_cal = _replicate_pvalues(config, idx)
-    ids = [f"agent{a:03d}" for a in range(config.k)]
+    ids = agent_ids(config.k)
     k0 = int(null_mask.sum())
     rows = []
     for spec in specs:
@@ -473,7 +478,7 @@ class GaussianSource:
         self.pis = resolve_pis(
             pi_rule, k, np.random.default_rng([seed, 0]), pi_values, k0, pi0, pi1
         )
-        self._ids = [f"agent{i:03d}" for i in range(k)]
+        self._ids = agent_ids(k)
         self._pools: dict[int, list[Datapoint]] = {}
 
     def agent_ids(self) -> list[str]:
